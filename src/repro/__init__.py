@@ -76,7 +76,7 @@ from repro.tsp import (
     tour_length,
 )
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "__version__",

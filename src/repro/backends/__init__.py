@@ -7,8 +7,8 @@ request — through :func:`repro.annealer.batch.solve_ensemble`, the
 async :class:`~repro.runtime.AnnealingService`, the HTTP gateway, and
 the CLI alike.  First registrants:
 
-* ``cluster-cim`` — the paper's clustered CIM annealer (TSP; default;
-  bit-identical to the pre-registry dispatch path);
+* ``cluster-cim`` — the paper's clustered CIM annealer (TSP and QUBO;
+  default; batchable: its group solver is the batched replica engine);
 * ``dense-ising`` — the dense Eq. (3) Gibbs annealer (TSP, N ≤ 64);
 * ``maxcut-sb`` — discrete simulated bifurcation (Max-Cut graphs);
 * ``simcim`` — SimCIM mean-field relaxation (±1 Ising models).

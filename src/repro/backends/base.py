@@ -6,12 +6,13 @@ default), the dense Ising annealer, the Max-Cut bifurcation solver,
 and the SimCIM mean-field optimizer.  A backend
 
 * declares what it can solve (:class:`BackendCapabilities` — problem
-  kinds, whether the batched replica engine applies, whether it takes
+  kinds, whether the executor may group seeds, whether it takes
   an :class:`~repro.annealer.config.AnnealerConfig`),
 * ``compile``\\ s a problem into a picklable :class:`BackendPlan` that
   crosses the worker-pool boundary,
 * ``solve``\\ s one seed of that plan into a result satisfying
-  :class:`~repro.runtime.telemetry.RunResultLike`,
+  :class:`~repro.runtime.telemetry.RunResultLike` (and
+  ``solve_group``\\ s a group of seeds, per seed unless overridden),
 * ``decode``\\ s a result into a human-readable solution view, and
 * supplies the quality ``reference`` denominator and the worker-side
   integrity ``validate_result`` gate.
@@ -26,7 +27,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -91,9 +101,12 @@ class BackendCapabilities:
         ``"ising"``, ``"maxcut"``) — :class:`~repro.runtime.options.
         SolveRequest` validates its payload against this.
     batchable:
-        Whether the batched replica engine
-        (:mod:`repro.annealer.batched`) applies; only the clustered
-        CIM annealer is batchable today.
+        Whether the ensemble executor may hand the backend groups of
+        up to ``EnsembleOptions.batch_size`` seeds per
+        :meth:`SolverBackend.solve_group` call — the only selector for
+        grouping.  Only the clustered CIM annealer is batchable today
+        (its group solver is the batched replica engine,
+        :mod:`repro.annealer.batched`).
     accepts_config:
         Whether the backend consumes an ``AnnealerConfig``; requests
         carrying one for a backend that does not are rejected.
@@ -190,6 +203,17 @@ class SolverBackend(ABC):
     @abstractmethod
     def solve(self, plan: BackendPlan, seed: int) -> RunResultLike:
         """Solve one seed of a compiled plan."""
+
+    def solve_group(
+        self, plan: BackendPlan, seeds: Sequence[int]
+    ) -> List[RunResultLike]:
+        """Solve a group of seeds of one plan, one result per seed.
+
+        The executor only groups seeds for a backend that declares
+        ``batchable``; an override must return, for each seed, exactly
+        what :meth:`solve` returns for it.
+        """
+        return [self.solve(plan, seed) for seed in seeds]
 
     @abstractmethod
     def validate_result(

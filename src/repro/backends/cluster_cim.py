@@ -1,19 +1,20 @@
 """The default backend: the paper's clustered CIM annealer.
 
-Thin adapter only — the ensemble executor keeps dispatching default
-TSP requests through its original ``_solve_one`` worker path
-(bit-identical to every pre-registry release, and what the test suite
-monkeypatches), so this class exists to give the default the same
-capability surface, reference, and integrity gate as every other
-registrant.  Compiled QUBO plans (graph coloring, knapsack, Max-SAT —
-:mod:`repro.problems`) anneal with the op-counted chromatic-parallel
-Gibbs kernel, the same odd/even independent-set update the clustered
-hardware path uses; those flow through the executor's registry route.
+TSP plans run :class:`~repro.annealer.hierarchical.ClusteredCIMAnnealer`
+one seed at a time (``solve``), or a whole seed group at once on the
+batched replica engine (``solve_group`` →
+:func:`repro.annealer.batched.solve_batch`, bit-identical per seed);
+``validate_result`` is the TSP integrity gate
+(:func:`repro.runtime.faults.validate_result`).  Compiled QUBO plans
+(graph coloring, knapsack, Max-SAT — :mod:`repro.problems`) anneal
+with the op-counted chromatic-parallel Gibbs kernel, the same odd/even
+independent-set update the clustered hardware path uses.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.backends.base import (
     BackendCapabilities,
@@ -88,19 +89,26 @@ class ClusterCIMBackend(SolverBackend):
         )
 
     def solve(self, plan: BackendPlan, seed: int) -> RunResultLike:
+        from repro.annealer.hierarchical import ClusteredCIMAnnealer
         from repro.problems.qubo import QUBOProblem
+        from repro.tsp.instance import TSPInstance
 
         if isinstance(plan.problem, QUBOProblem):
             return _solve_qubo_chromatic(plan.problem, seed)
-        # Same worker function the executor's default path uses, so a
-        # registry-routed solve stays bit-identical to a direct one.
-        from repro.runtime.executor import _solve_one
-        from repro.tsp.instance import TSPInstance
-
         assert isinstance(plan.problem, TSPInstance)
         assert plan.config is not None
-        result: RunResultLike = _solve_one(plan.problem, plan.config, seed)
-        return result
+        cfg = replace(plan.config, seed=int(seed))
+        return ClusteredCIMAnnealer(cfg).solve(plan.problem)
+
+    def solve_group(
+        self, plan: BackendPlan, seeds: Sequence[int]
+    ) -> List[RunResultLike]:
+        from repro.annealer.batched import solve_batch
+        from repro.tsp.instance import TSPInstance
+
+        if not isinstance(plan.problem, TSPInstance):
+            return super().solve_group(plan, seeds)
+        return list(solve_batch(plan.problem, plan.config, seeds))
 
     def validate_result(
         self, problem: ProblemLike, result: RunResultLike

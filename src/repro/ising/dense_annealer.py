@@ -24,7 +24,7 @@ Only practical for toy sizes (the dense model is O(N⁴) memory).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from repro.ising.tsp_mapping import (
 )
 from repro.tsp.instance import TSPInstance
 from repro.tsp.tour import tour_length
-from repro.utils.deprecation import merge_legacy_args
 from repro.utils.rng import SeedLike, spawn_rng
 
 
@@ -47,8 +46,8 @@ class DenseTSPAnnealParams:
     """Tuning of the dense penalty-formulation anneal.
 
     The keyword-only configuration object :func:`anneal_dense_tsp`
-    takes (API 1.3; the loose ``n_sweeps=...`` keywords are
-    deprecated, see ``docs/serving.md``).
+    takes (API 1.3; the loose ``n_sweeps=...`` keywords were removed
+    in 1.4, see ``docs/serving.md``).
     """
 
     #: Full Gibbs sweeps over all N² spins.
@@ -90,30 +89,17 @@ class DenseAnnealResult:
     trace: List[Tuple[int, float]]
 
 
-#: Positional order of the retired pre-1.3 ``anneal_dense_tsp`` form.
-_LEGACY_ANNEAL_ORDER = (
-    "n_sweeps",
-    "t_start",
-    "t_end",
-    "penalty_scale",
-    "seed",
-    "record_every",
-    "mapping",
-)
-
-
 def anneal_dense_tsp(
     instance: TSPInstance,
-    *legacy_args: Any,
+    *,
     params: Optional[DenseTSPAnnealParams] = None,
     seed: SeedLike = None,
     mapping: Optional[TSPIsingMapping] = None,
-    **legacy_kwargs: Any,
 ) -> DenseAnnealResult:
     """Anneal the full Eq. (3) model with single-spin Gibbs sweeps.
 
-    API (1.3): tuning goes through the keyword-only ``params``
-    dataclass; ``seed`` (the chain seed) and ``mapping`` (a prebuilt
+    Tuning goes through the keyword-only ``params`` dataclass; ``seed``
+    (the chain seed) and ``mapping`` (a prebuilt
     :class:`~repro.ising.tsp_mapping.TSPIsingMapping`, rebuilt from
     the instance when omitted) are per-call state and stay direct
     keywords::
@@ -124,28 +110,8 @@ def anneal_dense_tsp(
 
     ``instance`` must be small — the dense model refuses N > 64.  The
     pre-1.3 loose form (``anneal_dense_tsp(instance, n_sweeps=600,
-    penalty_scale=2.0, ...)``) still works for exactly one release
-    behind a :class:`DeprecationWarning` and is removed in 1.4
-    (``docs/serving.md``, *Deprecation timeline*).
+    ...)``) was removed in 1.4 and raises ``TypeError``.
     """
-    if legacy_args or legacy_kwargs:
-        if params is not None:
-            raise TypeError(
-                "anneal_dense_tsp() takes either params= or the "
-                "deprecated loose tuning arguments, not both"
-            )
-        merged = merge_legacy_args(
-            "anneal_dense_tsp",
-            _LEGACY_ANNEAL_ORDER,
-            legacy_args,
-            legacy_kwargs,
-            params_hint="params=DenseTSPAnnealParams(...)",
-            since="1.3",
-            removal="1.4",
-        )
-        seed = merged.pop("seed", seed)
-        mapping = merged.pop("mapping", mapping)
-        params = DenseTSPAnnealParams(**merged)
     p = params if params is not None else DenseTSPAnnealParams()
     n_sweeps = p.n_sweeps
     t_start, t_end = p.t_start, p.t_end

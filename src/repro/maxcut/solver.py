@@ -11,14 +11,13 @@ weights; the planted generators provide known-good cuts).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ReproError
 from repro.ising.numerics import boltzmann_accept_probability
 from repro.maxcut.problem import MaxCutProblem
-from repro.utils.deprecation import merge_legacy_args
 from repro.utils.rng import SeedLike, spawn_rng
 
 
@@ -27,8 +26,8 @@ class MaxCutAnnealParams:
     """Tuning of the Metropolis Max-Cut annealer.
 
     The keyword-only configuration object :func:`anneal_maxcut` takes
-    (API 1.3; the loose ``n_sweeps=...`` keywords are deprecated, see
-    ``docs/serving.md``).  Temperatures are in units of the mean
+    (API 1.3; the loose ``n_sweeps=...`` keywords were removed in 1.4,
+    see ``docs/serving.md``).  Temperatures are in units of the mean
     \\|edge weight\\| (scale-free); one sweep proposes ``n_nodes``
     flips.
     """
@@ -125,57 +124,24 @@ def local_search_improve(
     )
 
 
-#: Positional order of the retired pre-1.3 ``anneal_maxcut`` signature.
-_LEGACY_ANNEAL_ORDER = (
-    "n_sweeps",
-    "t_start",
-    "t_end",
-    "seed",
-    "initial_spins",
-    "record_every",
-)
-
-
 def anneal_maxcut(
     problem: MaxCutProblem,
-    *legacy_args: Any,
+    *,
     params: Optional[MaxCutAnnealParams] = None,
     seed: SeedLike = None,
     initial_spins: Optional[np.ndarray] = None,
-    **legacy_kwargs: Any,
 ) -> MaxCutResult:
     """Metropolis single-spin-flip annealing.
 
-    API (1.3): tuning goes through the keyword-only ``params``
-    dataclass; ``seed`` and ``initial_spins`` are per-call state and
-    stay direct keywords::
+    Tuning goes through the keyword-only ``params`` dataclass; ``seed``
+    and ``initial_spins`` are per-call state and stay direct keywords::
 
         anneal_maxcut(problem, params=MaxCutAnnealParams(n_sweeps=400),
                       seed=7)
 
     The pre-1.3 loose form (``anneal_maxcut(problem, n_sweeps=400,
-    t_start=2.0, ...)``, keyword or positional) still works for
-    exactly one release behind a :class:`DeprecationWarning` and is
-    removed in 1.4 (``docs/serving.md``, *Deprecation timeline*).
+    ...)``) was removed in 1.4 and raises ``TypeError``.
     """
-    if legacy_args or legacy_kwargs:
-        if params is not None:
-            raise TypeError(
-                "anneal_maxcut() takes either params= or the deprecated "
-                "loose tuning arguments, not both"
-            )
-        merged = merge_legacy_args(
-            "anneal_maxcut",
-            _LEGACY_ANNEAL_ORDER,
-            legacy_args,
-            legacy_kwargs,
-            params_hint="params=MaxCutAnnealParams(...)",
-            since="1.3",
-            removal="1.4",
-        )
-        seed = merged.pop("seed", seed)
-        initial_spins = merged.pop("initial_spins", initial_spins)
-        params = MaxCutAnnealParams(**merged)
     p = params if params is not None else MaxCutAnnealParams()
     n_sweeps = p.n_sweeps
     t_start, t_end, record_every = p.t_start, p.t_end, p.record_every

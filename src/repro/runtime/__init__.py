@@ -30,7 +30,7 @@ here.
 convenience entry point (itself a thin wrapper over a single-job
 service); use :class:`AnnealingService` directly to serve many
 concurrent instances, and :func:`solve_async` to await one request.
-Executor internals (``_solve_one``, the dispatch helpers) are private.
+Executor internals (``_solve_unit``, the dispatch loops) are private.
 """
 
 from repro.runtime.executor import EnsembleExecutor

@@ -1,75 +1,36 @@
 """Process-pool ensemble executor.
 
-Fans :meth:`repro.annealer.hierarchical.ClusteredCIMAnnealer.solve`
-out across worker processes, one run per seed (or, with
-``options.batch_size > 1``, one *batched* vectorised solve per group
-of seeds via :func:`repro.annealer.batched.solve_batch` — bit-identical
-results, one :class:`RunTelemetry` per seed either way):
+Solves one problem once per seed through a registered
+:class:`~repro.backends.base.SolverBackend`, as the paper runs replica
+groups on a shared fabric.  A **work unit** is ``(backend name,
+compiled plan, seed group)``: the plan is compiled once per run, and
+:func:`_solve_unit`, the one worker entry, resolves the backend by name
+and calls ``backend.solve_group(plan, seeds)`` (``solve`` for a group
+of one), wrapped in a :class:`~repro.runtime.faults.FaultInjector`
+when a chaos :class:`~repro.runtime.faults.FaultPlan` is active.  Seeds
+are grouped ``options.batch_size`` at a time only when the backend
+declares ``batchable`` and no fault plan is active.
 
-* **Deterministic ordering** — results come back keyed by seed and are
-  reassembled in the caller's seed order, so the output is bit-identical
-  to the serial path no matter which worker finishes first (each run is
-  fully determined by its seed).
-* **Chunked dispatch** — seeds are submitted in bounded waves
-  (``chunk_size``, default ``2 × max_workers``) so a 10 000-seed
-  ensemble never materialises 10 000 pickled instances at once.
-* **Failure isolation** — a run that raises, times out
-  (``timeout_s``), or returns a corrupted payload (integrity-checked
-  at the pool boundary by :func:`repro.runtime.faults.validate_result`)
-  is retried in-process, up to ``max_retries`` extra attempts paced by
-  a bounded, jittered :class:`~repro.runtime.faults.Backoff`, without
-  disturbing its siblings; terminal failures surface as structured
-  :class:`~repro.runtime.telemetry.RunTelemetry` records with
-  ``ok=False`` instead of poisoning the whole ensemble, unless
-  ``strict`` asks for an :class:`~repro.errors.AnnealerError`.
-* **Self-healing pools** — a broken ``ProcessPoolExecutor``
-  (``BrokenProcessPool``), or one whose worker slots are all occupied
-  by hung runs, is rebuilt within a bounded ``self_heal_budget``
-  (:class:`_PoolSupervisor`) instead of permanently degrading to the
-  serial path; a *borrowed* shared pool is healed through the owner's
-  ``on_pool_broken`` callback (the serving runtime's budget applies).
-  Hung pool futures are cancelled when possible; an uncancellable one
-  is accounted as an occupied slot until its worker finishes.
-* **Graceful degradation** — ``max_workers=1``, a missing
-  ``concurrent.futures`` pool, or an exhausted self-heal budget all
-  fall back to the plain serial loop; callers never have to care.
-* **Chaos injection** — an :class:`~repro.runtime.faults.FaultPlan` in
-  the options routes every attempt through
-  :func:`_solve_one_injected`, which injects seeded worker-crash /
-  hang / corrupted-result / broken-pool faults; the dispatch side
-  accounts each observed injection in ``RunTelemetry.faults_injected``
-  (see ``docs/robustness.md``).
-* **Incremental surfacing** — an ``on_run_complete`` callback fires
-  with each :class:`RunTelemetry` record as it lands, which is how the
-  serving runtime (:mod:`repro.runtime.service`) streams telemetry
-  while an ensemble is still in flight.  A *borrowed* pool (``pool=``)
-  lets many concurrent ensembles multiplex one set of worker
-  processes.
-
-Tuning lives in a frozen
-:class:`~repro.runtime.options.EnsembleOptions`; the pre-1.1 per-field
-keyword form (``EnsembleExecutor(max_workers=4)``) was removed in 1.2
-after its one-release deprecation window.
-
-The executor is also solver-agnostic about *which* solver runs:
-``run(backend="...")`` dispatches every attempt through the named
-:class:`~repro.backends.base.SolverBackend` (resolved worker-side from
-its registry name, so only strings and picklable problem payloads
-cross the pool boundary), while the default ``"cluster-cim"`` backend
-keeps the exact pre-registry path — bit-identical results.  It is
-deliberately agnostic about aggregation too: it returns the ordered
-:class:`~repro.runtime.telemetry.RunResultLike` list plus an
-:class:`~repro.runtime.telemetry.EnsembleTelemetry`;
-:func:`repro.annealer.batch.solve_ensemble` layers the quality
-statistics on top.  ``_solve_one`` and the dispatch helpers
-(``_run_serial`` / ``_run_pool`` / ``_attempt_serial``) are internal:
-only :meth:`EnsembleExecutor.run` is supported API.
+One serial loop and one pool loop run the units.  Both share the
+backend's ``validate_result`` gate, the per-seed in-process retry
+(``max_retries`` extra attempts paced by a jittered
+:class:`~repro.runtime.faults.Backoff`), circuit-breaker checks,
+injected-fault accounting and cancellation (checked before each unit
+is dispatched and before each record is emitted).  The pool loop adds
+chunked waves, timeouts (``timeout_s`` per seed in the unit) and
+self-healing (:class:`_PoolSupervisor` rebuilds a broken or
+hang-starved pool within ``self_heal_budget``, then degrades to the
+serial loop).
+Results are reassembled in the caller's seed order, so every path is
+bit-identical to the serial one.  Only :meth:`EnsembleExecutor.run` is
+supported API; ``docs/architecture.md`` and ``docs/robustness.md``
+describe the behaviour in full.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -88,9 +49,6 @@ from repro.runtime.faults import (
     FaultInjector,
     FaultKind,
     FaultPlan,
-    InjectedFault,
-    ResultIntegrityError,
-    validate_result,
 )
 from repro.runtime.options import EnsembleOptions, SolveRequest
 from repro.runtime.telemetry import (
@@ -105,29 +63,7 @@ if TYPE_CHECKING:  # import cycle: repro.annealer.batch uses this module
     from threading import Event
 
     from repro.annealer.config import AnnealerConfig
-    from repro.annealer.result import AnnealResult
-    from repro.backends.base import ProblemLike
-    from repro.tsp.instance import TSPInstance
-
-#: Mirrors :data:`repro.backends.DEFAULT_BACKEND`.  Kept as a literal:
-#: this module must not import :mod:`repro.backends` at import time
-#: (the registrant modules sit above the runtime layer).
-_DEFAULT_BACKEND = "cluster-cim"
-
-def _default_path(instance: object, backend: str) -> bool:
-    """Does the pre-registry clustered-TSP dispatch path apply?
-
-    The default backend's original ``_solve_one`` worker path (and the
-    batched replica engine) only speaks TSP; a ``cluster-cim`` request
-    carrying any other payload kind (e.g. a compiled QUBO plan) routes
-    through the registry like a named backend would.
-    """
-    if backend != _DEFAULT_BACKEND:
-        return False
-    from repro.tsp.instance import TSPInstance
-
-    return isinstance(instance, TSPInstance)
-
+    from repro.backends.base import BackendPlan, ProblemLike, SolverBackend
 
 #: Fires with each run's telemetry record the moment it is final.
 RunCallback = Callable[[RunTelemetry], None]
@@ -136,95 +72,37 @@ RunCallback = Callable[[RunTelemetry], None]
 #: None when the owner's self-heal budget is spent (degrade serially).
 PoolHealer = Callable[["Executor"], Optional["Executor"]]
 
-
-def _solve_one(
-    instance: TSPInstance, config: AnnealerConfig, seed: int
-) -> RunResultLike:
-    """Worker entry point: one full solve for one seed.
-
-    Module-level (not a closure) so it pickles into pool workers.
-    """
-    # Imported here so a worker process only pays for what it uses.
-    from repro.annealer.hierarchical import ClusteredCIMAnnealer
-
-    cfg = replace(config, seed=int(seed))
-    return ClusteredCIMAnnealer(cfg).solve(instance)
+#: One seed's final outcome: its result (None if it failed) and record.
+Outcome = Tuple[Optional[RunResultLike], RunTelemetry]
 
 
-def _solve_backend_one(
+def _solve_unit(
     backend: str,
-    problem: "ProblemLike",
-    config: Optional[AnnealerConfig],
-    seed: int,
-) -> RunResultLike:
-    """Worker entry point: one named-backend solve for one seed.
+    plan: "BackendPlan",
+    seeds: Sequence[int],
+    faults: Optional[FaultPlan] = None,
+    attempt: int = 0,
+    in_pool: bool = False,
+) -> List[RunResultLike]:
+    """Worker entry point: one work unit, a seed group of one plan.
 
     Module-level (not a closure) so it pickles into pool workers; the
     backend is resolved by registry name *inside* the worker, so only
-    the name string and the picklable problem payload ever cross the
-    process boundary.
+    the name, the compiled plan and the seeds cross the process
+    boundary.  A group of one is a per-seed ``solve``.  Under an active
+    fault plan every unit is a single seed, and the injector wraps it.
     """
     from repro.backends import resolve_backend
 
     impl = resolve_backend(backend)
-    return impl.solve(impl.compile(problem, config), int(seed))
-
-
-def _solve_batch(
-    instance: TSPInstance, config: AnnealerConfig, seeds: List[int]
-) -> List[AnnealResult]:
-    """Worker entry point: one batched solve for a group of seeds.
-
-    Module-level (not a closure) so it pickles into pool workers; the
-    batched replica engine guarantees each returned result is
-    bit-identical to :func:`_solve_one` for the same seed.
-    """
-    from repro.annealer.batched import solve_batch
-
-    return solve_batch(instance, config, seeds)
-
-
-def _solve_one_injected(
-    instance: TSPInstance,
-    config: AnnealerConfig,
-    seed: int,
-    plan: FaultPlan,
-    attempt: int,
-    in_pool: bool,
-) -> RunResultLike:
-    """Worker entry point under an active chaos :class:`FaultPlan`.
-
-    Module-level and fed only picklable arguments, like
-    :func:`_solve_one` (which it wraps, so test monkeypatching of the
-    real solve still applies under chaos).
-    """
-    injector = FaultInjector(plan)
+    if faults is None:
+        if len(seeds) == 1:
+            return [impl.solve(plan, seeds[0])]
+        return impl.solve_group(plan, seeds)
+    (seed,) = seeds
+    injector = FaultInjector(faults)
     injector.pre_solve(seed, attempt, in_pool=in_pool)
-    result = _solve_one(instance, config, seed)
-    return injector.post_solve(seed, attempt, result)
-
-
-def _solve_backend_injected(
-    backend: str,
-    problem: "ProblemLike",
-    config: Optional[AnnealerConfig],
-    seed: int,
-    plan: FaultPlan,
-    attempt: int,
-    in_pool: bool,
-) -> RunResultLike:
-    """Named-backend worker entry point under an active chaos plan.
-
-    The chaos layer is backend-agnostic: crash/hang/broken-pool faults
-    fire before the solve, and the corrupt fault tampers the returned
-    result through the :class:`~repro.runtime.telemetry.RunResultLike`
-    surface, so each backend's ``validate_result`` gate is exercised
-    exactly like the default path's.
-    """
-    injector = FaultInjector(plan)
-    injector.pre_solve(seed, attempt, in_pool=in_pool)
-    result = _solve_backend_one(backend, problem, config, seed)
-    return injector.post_solve(seed, attempt, result)
+    return [injector.post_solve(seed, attempt, impl.solve(plan, seed))]
 
 
 class _PoolSupervisor:
@@ -325,54 +203,298 @@ class _PoolSupervisor:
             self.pool.shutdown(wait=False, cancel_futures=True)
 
 
+@dataclass
+class _Dispatch:
+    """The per-run state of one :meth:`EnsembleExecutor.run`.
+
+    Holds the compiled plan, the callbacks and the records emitted so
+    far, so the executor itself stays free of per-run mutable state
+    (one instance may serve concurrent ``run()`` calls).
+    """
+
+    options: EnsembleOptions
+    backend: str
+    impl: "SolverBackend"
+    plan: "BackendPlan"
+    reference: Optional[float]
+    n_seeds: int
+    on_run_complete: Optional[RunCallback]
+    worker_prefix: str
+    worker_suffix: str
+    cancel: Optional["Event"]
+    breaker: Optional[CircuitBreaker]
+    by_seed: Dict[int, Outcome] = field(default_factory=dict)
+
+    @property
+    def faults(self) -> Optional[FaultPlan]:
+        """The active chaos plan, or None."""
+        plan = self.options.fault_plan
+        return plan if plan is not None and plan.enabled else None
+
+    # -- shared by both loops ------------------------------------------
+    def groups(self, seeds: List[int]) -> List[List[int]]:
+        """Slice the ordered seeds into work units.
+
+        Seeds are grouped only for a batchable backend with no fault
+        plan active: chaos needs per-seed attempt accounting.
+        """
+        width = 1
+        if self.faults is None and self.impl.capabilities().batchable:
+            width = self.options.batch_size
+        return [seeds[i : i + width] for i in range(0, len(seeds), width)]
+
+    def check_cancel(self) -> None:
+        if self.cancel is not None and self.cancel.is_set():
+            raise AnnealerError(
+                f"ensemble cancelled after {len(self.by_seed)}/"
+                f"{self.n_seeds} runs"
+            )
+
+    def check_breaker(self, group: List[int]) -> None:
+        if self.breaker is not None:
+            for seed in group:
+                self.breaker.check(f"run for seed {seed}")
+
+    def emit(self, seed: int, outcome: Outcome) -> None:
+        # A seed that finished after the cancel landed is dropped.
+        self.check_cancel()
+        outcome[1].backend = self.backend
+        self.by_seed[seed] = outcome
+        if self.on_run_complete is not None:
+            self.on_run_complete(outcome[1])
+
+    def worker(self, where: str) -> str:
+        return f"{self.worker_prefix}{where}{self.worker_suffix}"
+
+    def fault_for(self, seed: int, attempt: int) -> Optional[FaultKind]:
+        faults = self.faults
+        return None if faults is None else faults.fault_for(seed, attempt)
+
+    def settle(
+        self,
+        group: List[int],
+        results: Optional[List[RunResultLike]],
+        error: Optional[BaseException],
+        *,
+        in_pool: bool,
+        hung: bool = False,
+    ) -> None:
+        """Validate, account and emit one finished unit, seed by seed.
+
+        A seed whose unit failed, or whose result fails the backend's
+        integrity gate, goes to the in-process retry fallback.
+        """
+        for i, seed in enumerate(group):
+            result = None if results is None else results[i]
+            exc = error
+            if result is not None:
+                try:
+                    self.impl.validate_result(self.plan.problem, result)
+                except AnnealerError:
+                    raise
+                except Exception as bad:  # noqa: BLE001 — a worker fault
+                    exc = bad
+            faults: List[str] = []
+            kind = self.fault_for(seed, 0)
+            # In-process execution is certain: the scheduled fault ran.
+            if kind is not None and (
+                not in_pool or kind.observed(exc, hung)
+            ):
+                faults.append(kind.value)
+            if exc is not None:
+                self.emit(seed, self.attempt_serial(seed, exc, faults))
+                continue
+            assert result is not None
+            if self.breaker is not None:
+                self.breaker.record_success()
+            record = RunTelemetry.from_result(
+                seed,
+                result,
+                self.reference,
+                worker=self.worker("pool" if in_pool else "serial"),
+                faults_injected=faults,
+            )
+            self.emit(seed, (result, record))
+
+    def attempt_serial(
+        self, seed: int, first_error: BaseException, faults: List[str]
+    ) -> Outcome:
+        """Retry one seed in-process with the attempts its unit left.
+
+        The unit was attempt 0; retries are paced by a bounded,
+        deterministically jittered :class:`Backoff`, and the unit's
+        failure is kept as the record's ``first_error`` even when a
+        retry recovers.
+        """
+        options = self.options
+        backoff = Backoff(
+            options.backoff_base_s, options.backoff_cap_s, seed=seed
+        )
+        backoff_s = 0.0
+        last = first_error
+        attempt = 1
+        while attempt <= options.max_retries:
+            backoff_s += backoff.wait(attempt)
+            kind = self.fault_for(seed, attempt)
+            if kind is not None:
+                faults.append(kind.value)
+            try:
+                (result,) = _solve_unit(
+                    self.backend, self.plan, [seed], self.faults, attempt
+                )
+                self.impl.validate_result(self.plan.problem, result)
+            except AnnealerError:
+                raise  # configuration errors are not transient: fail loud
+            except Exception as exc:  # noqa: BLE001 — isolate worker faults
+                last = exc
+                attempt += 1
+                continue
+            if self.breaker is not None:
+                self.breaker.record_success()
+            return result, RunTelemetry.from_result(
+                seed,
+                result,
+                self.reference,
+                retries=attempt,
+                worker=self.worker("serial"),
+                faults_injected=faults,
+                backoff_s=backoff_s,
+                first_error=repr(first_error),
+            )
+        if self.breaker is not None:
+            self.breaker.record_failure()
+        if options.strict:
+            raise AnnealerError(
+                f"run for seed {seed} failed after "
+                f"{options.max_retries + 1} attempts: {last!r}"
+            )
+        return None, RunTelemetry.from_failure(
+            seed,
+            last,
+            retries=attempt,
+            worker=self.worker("serial"),
+            faults_injected=faults,
+            backoff_s=backoff_s,
+            first_error=repr(first_error),
+        )
+
+    # -- the two loops -------------------------------------------------
+    def run_serial(self, groups: List[List[int]]) -> None:
+        """Run every unit in-process, in order."""
+        for group in groups:
+            self.check_cancel()
+            self.check_breaker(group)
+            try:
+                results = _solve_unit(self.backend, self.plan, group, self.faults)
+            except AnnealerError:
+                raise  # configuration errors are not transient: fail loud
+            except Exception as exc:  # noqa: BLE001 — isolate worker faults
+                self.settle(group, None, exc, in_pool=False)
+            else:
+                self.settle(group, results, None, in_pool=False)
+
+    def run_pool(
+        self, groups: List[List[int]], supervisor: _PoolSupervisor
+    ) -> bool:
+        """Run the units on the pool in waves; True if it degraded.
+
+        A wave the pool refuses (broken or shut down by a sibling) runs
+        in-process after a heal is attempted for the next wave; once
+        the heal budget is spent every later wave runs in-process.
+        """
+        from concurrent.futures import TimeoutError as FuturesTimeout
+        from concurrent.futures.process import BrokenProcessPool
+
+        options = self.options
+        chunk = options.chunk_size or max(1, 2 * options.max_workers)
+        degraded = False
+        for lo in range(0, len(groups), chunk):
+            self.check_cancel()
+            wave = groups[lo : lo + chunk]
+            futures = None if degraded else self.submit(supervisor, wave)
+            if futures is None:
+                if not degraded and not supervisor.heal():
+                    degraded = True
+                self.run_serial(wave)
+                continue
+            pool_broke = False
+            for group, fut in zip(wave, futures):
+                self.check_breaker(group)
+                budget = (
+                    None
+                    if options.timeout_s is None
+                    else options.timeout_s * len(group)
+                )
+                try:
+                    results = fut.result(timeout=budget)
+                except FuturesTimeout:
+                    # Reclaim the worker slot if the unit never started;
+                    # a running (hung) worker cannot be cancelled and
+                    # occupies its slot until done.
+                    hung = not fut.cancel()
+                    if hung:
+                        supervisor.note_hung(fut)
+                    what = (
+                        "run"
+                        if len(group) == 1
+                        else f"batch of {len(group)} runs"
+                    )
+                    timeout = TimeoutError(f"{what} exceeded {budget}s in pool")
+                    self.settle(group, None, timeout, in_pool=True, hung=hung)
+                except AnnealerError:
+                    raise
+                except Exception as exc:  # worker crash / broken pool
+                    if isinstance(exc, BrokenProcessPool):
+                        pool_broke = True
+                    self.settle(group, None, exc, in_pool=True)
+                else:
+                    self.settle(group, results, None, in_pool=True)
+            if pool_broke or supervisor.starved():
+                # Self-heal: replace the broken/starved pool within the
+                # budget instead of degrading for good.
+                if not supervisor.heal():
+                    degraded = True
+        return degraded
+
+    def submit(
+        self, supervisor: _PoolSupervisor, wave: List[List[int]]
+    ) -> Optional[List["Future[List[RunResultLike]]"]]:
+        """Submit one wave of units; None when the pool refuses it.
+
+        A partial submission (the pool breaking mid-wave) cancels the
+        futures already submitted; one that is already running
+        finishes, but its result is never read.
+        """
+        pool = supervisor.pool
+        assert pool is not None
+        futures: List["Future[List[RunResultLike]]"] = []
+        try:
+            for group in wave:
+                fut = pool.submit(
+                    _solve_unit, self.backend, self.plan, group,
+                    self.faults, 0, True,
+                )
+                futures.append(fut)
+        # A borrowed pool can be shut down or broken by a sibling job
+        # mid-flight; the caller heals or degrades.
+        except Exception:  # repro-lint: ignore[RL005]
+            for fut in futures:
+                fut.cancel()
+            return None
+        return futures
+
+
 class EnsembleExecutor:
     """Configurable parallel runner for seed ensembles.
 
     Construct with a frozen :class:`EnsembleOptions`::
 
         EnsembleExecutor(EnsembleOptions(max_workers=4, timeout_s=30))
-
-    The pre-1.1 per-field keyword form
-    (``EnsembleExecutor(max_workers=4)``) was removed in 1.2 after its
-    one-release deprecation window (see ``docs/serving.md``).
     """
 
     def __init__(self, options: Optional[EnsembleOptions] = None) -> None:
         self.options = options if options is not None else EnsembleOptions()
 
-    # -- legacy read access (the pre-1.1 dataclass exposed the fields) --
-    @property
-    def max_workers(self) -> int:
-        """Pool width (see :class:`EnsembleOptions`)."""
-        return self.options.max_workers
-
-    @property
-    def timeout_s(self) -> Optional[float]:
-        """Per-run wall-clock budget (see :class:`EnsembleOptions`)."""
-        return self.options.timeout_s
-
-    @property
-    def max_retries(self) -> int:
-        """Retry budget (see :class:`EnsembleOptions`)."""
-        return self.options.max_retries
-
-    @property
-    def chunk_size(self) -> Optional[int]:
-        """Dispatch wave size (see :class:`EnsembleOptions`)."""
-        return self.options.chunk_size
-
-    @property
-    def strict(self) -> bool:
-        """Raise on terminal run failure (see :class:`EnsembleOptions`)."""
-        return self.options.strict
-
-    @property
-    def _plan(self) -> Optional[FaultPlan]:
-        """The active chaos plan, or None."""
-        plan = self.options.fault_plan
-        return plan if plan is not None and plan.enabled else None
-
-    # ------------------------------------------------------------------
     def run(
         self,
         instance: "ProblemLike",
@@ -380,7 +502,7 @@ class EnsembleExecutor:
         config: Optional[AnnealerConfig] = None,
         reference: Optional[float] = None,
         *,
-        backend: str = _DEFAULT_BACKEND,
+        backend: Optional[str] = None,
         on_run_complete: Optional[RunCallback] = None,
         pool: Optional["Executor"] = None,
         worker_prefix: str = "",
@@ -397,892 +519,94 @@ class EnsembleExecutor:
         Parameters
         ----------
         backend:
-            Registry name of the solver backend to dispatch to
-            (:func:`repro.backends.list_backends`).  The default
-            clustered CIM annealer keeps the exact pre-registry
-            dispatch path — bit-identical results — while named
-            backends route every attempt through
-            :func:`_solve_backend_one` and their own
-            ``validate_result`` integrity gate.  Every emitted
-            :class:`RunTelemetry` record is stamped with this name.
+            Registry name of the solver backend (None means
+            :data:`repro.backends.DEFAULT_BACKEND`); every record is
+            stamped with it.
         on_run_complete:
-            Called with each run's final :class:`RunTelemetry` as it is
-            produced (in collection order), while later seeds are still
-            in flight.  Must be cheap and must not raise.
+            Called with each run's final :class:`RunTelemetry` as it
+            lands, while later seeds are still in flight.  Must be cheap
+            and must not raise.
         pool:
             A *borrowed* ``concurrent.futures`` executor to dispatch
-            into instead of creating (and tearing down) a private pool.
-            The caller owns its lifecycle; used by the serving runtime
-            to share one pool across concurrent jobs.
-        worker_prefix:
-            Prepended to each record's ``worker`` field: the shard
-            segment.  A named :class:`~repro.runtime.AnnealingService`
-            (e.g. a gateway shard) threads ``"<name>/"`` through here
-            so records read ``shard0/pool@job-0001`` and telemetry
-            spans multi-backend dispatch.
-        worker_suffix:
-            Appended to each record's ``worker`` field (the serving
-            runtime threads ``@<job_id>`` through here so multiplexed
-            telemetry streams stay attributable).
+            into instead of a private pool; the caller owns its
+            lifecycle (the serving runtime shares one across jobs).
+        worker_prefix, worker_suffix:
+            Wrapped around each record's ``worker`` field: the shard
+            segment (``"shard0/"``) and the job id (``"@job-0001"``).
         cancel:
-            A ``threading.Event``; once set, no further seeds are
-            dispatched and the run raises
-            :class:`~repro.errors.AnnealerError`.  In-flight seeds
-            finish first (cancellation is cooperative).
+            A ``threading.Event``; once set, no further unit is
+            dispatched, no further record is emitted (a seed finishing
+            after the cancel is dropped) and the run raises
+            :class:`~repro.errors.AnnealerError`.
         breaker:
-            A per-ensemble :class:`~repro.runtime.faults.CircuitBreaker`;
-            consulted before each seed dispatch and fed every terminal
-            run outcome.  Once open, the run raises
-            :class:`~repro.runtime.faults.CircuitOpenError` instead of
-            burning the remaining seeds.
+            A per-ensemble :class:`~repro.runtime.faults.CircuitBreaker`,
+            consulted before each unit and fed every terminal outcome;
+            once open the run raises
+            :class:`~repro.runtime.faults.CircuitOpenError`.
         on_pool_broken:
-            Self-heal hook for *borrowed* pools: called with the broken
-            pool, must return a replacement (possibly one a sibling
-            already healed) or None to decline, at which point this
-            ensemble degrades to the serial path.  Owned pools heal
-            themselves within ``options.self_heal_budget`` instead.
+            Self-heal hook for a *borrowed* pool: returns a replacement
+            or None, at which point the run degrades to the serial
+            loop.  Owned pools heal within ``options.self_heal_budget``.
         """
+        from repro.backends import DEFAULT_BACKEND, resolve_backend
+
+        name = backend if backend is not None else DEFAULT_BACKEND
         request = SolveRequest.build(
             instance,
             seeds,
             config=config,
             reference=reference,
             options=self.options,
-            backend=backend,
+            backend=name,
+        )
+        impl = resolve_backend(name)
+        dispatch = _Dispatch(
+            options=self.options,
+            backend=name,
+            impl=impl,
+            plan=impl.compile(instance, config),
+            reference=reference,
+            n_seeds=len(request.seeds),
+            on_run_complete=on_run_complete,
+            worker_prefix=worker_prefix,
+            worker_suffix=worker_suffix,
+            cancel=cancel,
+            breaker=breaker,
         )
         ordered = list(request.seeds)
-        if config is None and _default_path(instance, backend):
-            from repro.annealer.config import AnnealerConfig
-
-            config = AnnealerConfig()
-
-        # Every record funnels through _emit exactly once; stamping in
-        # the callback keeps the executor free of per-run mutable state
-        # (one instance may serve concurrent run() calls).
-        user_callback = on_run_complete
-
-        def stamp_backend(record: RunTelemetry) -> None:
-            record.backend = backend
-            if user_callback is not None:
-                user_callback(record)
-
-        on_run_complete = stamp_backend
+        groups = dispatch.groups(ordered)
+        supervisor = _PoolSupervisor(
+            pool,
+            max_workers=self.options.max_workers,
+            budget=self.options.self_heal_budget,
+            on_pool_broken=on_pool_broken,
+        )
 
         watch = Stopwatch()
-        rebuilds = 0
-        # Batched dispatch is a pure throughput path: an active fault
-        # plan needs per-seed attempt accounting, so it pins batch=1;
-        # only the default backend speaks the batched replica engine.
-        batching = (
-            self.options.batch_size > 1
-            and self._plan is None
-            and _default_path(instance, backend)
-        )
-        if batching:
-            from repro.tsp.instance import TSPInstance
-
-            assert isinstance(instance, TSPInstance)
-            assert config is not None
-            if self.max_workers == 1 and pool is None:
-                by_seed, mode = self._run_serial_batched(
-                    instance,
-                    ordered,
-                    config,
-                    reference,
-                    on_run_complete=on_run_complete,
-                    worker_prefix=worker_prefix,
-                    worker_suffix=worker_suffix,
-                    cancel=cancel,
-                    breaker=breaker,
-                )
-            else:
-                by_seed, mode, rebuilds = self._run_pool_batched(
-                    instance,
-                    ordered,
-                    config,
-                    reference,
-                    on_run_complete=on_run_complete,
-                    pool=pool,
-                    worker_prefix=worker_prefix,
-                    worker_suffix=worker_suffix,
-                    cancel=cancel,
-                    breaker=breaker,
-                    on_pool_broken=on_pool_broken,
-                )
-        elif self.max_workers == 1 and pool is None:
-            by_seed, mode = self._run_serial(
-                instance,
-                ordered,
-                config,
-                reference,
-                on_run_complete=on_run_complete,
-                worker_prefix=worker_prefix,
-                worker_suffix=worker_suffix,
-                cancel=cancel,
-                breaker=breaker,
-                backend=backend,
-            )
+        if self.options.max_workers == 1 and pool is None:
+            mode = "serial"
+            dispatch.run_serial(groups)
+        elif supervisor.owns_pool and not supervisor.build():
+            mode = "serial-fallback"
+            dispatch.run_serial(groups)
         else:
-            by_seed, mode, rebuilds = self._run_pool(
-                instance,
-                ordered,
-                config,
-                reference,
-                on_run_complete=on_run_complete,
-                pool=pool,
-                worker_prefix=worker_prefix,
-                worker_suffix=worker_suffix,
-                cancel=cancel,
-                breaker=breaker,
-                on_pool_broken=on_pool_broken,
-                backend=backend,
-            )
+            try:
+                degraded = dispatch.run_pool(groups, supervisor)
+            finally:
+                supervisor.shutdown()
+            mode = "serial-fallback" if degraded else "parallel"
         wall = watch.elapsed_s()
 
+        by_seed = dispatch.by_seed
         telemetry = EnsembleTelemetry(
             runs=[by_seed[s][1] for s in ordered],
-            max_workers=self.max_workers,
+            max_workers=self.options.max_workers,
             mode=mode,
             wall_time_s=wall,
-            pool_rebuilds=rebuilds,
-            backend=backend,
+            pool_rebuilds=supervisor.rebuilds,
+            backend=name,
         )
         results = [
             by_seed[s][0] for s in ordered if by_seed[s][0] is not None
         ]
         return results, telemetry
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _check_cancel(cancel: Optional["Event"], done: int, total: int) -> None:
-        if cancel is not None and cancel.is_set():
-            raise AnnealerError(
-                f"ensemble cancelled after {done}/{total} runs"
-            )
-
-    @staticmethod
-    def _check_breaker(
-        breaker: Optional[CircuitBreaker], seed: int
-    ) -> None:
-        if breaker is not None:
-            breaker.check(f"run for seed {seed}")
-
-    @staticmethod
-    def _emit(
-        on_run_complete: Optional[RunCallback], record: RunTelemetry
-    ) -> None:
-        if on_run_complete is not None:
-            on_run_complete(record)
-
-    def _invoke(
-        self,
-        instance: "ProblemLike",
-        config: Optional[AnnealerConfig],
-        seed: int,
-        attempt: int,
-        backend: str = _DEFAULT_BACKEND,
-    ) -> RunResultLike:
-        """One in-process solve attempt (chaos-wrapped when planned)."""
-        plan = self._plan
-        if not _default_path(instance, backend):
-            if plan is not None:
-                return _solve_backend_injected(
-                    backend, instance, config, seed, plan, attempt, False
-                )
-            return _solve_backend_one(backend, instance, config, seed)
-        from repro.tsp.instance import TSPInstance
-
-        assert isinstance(instance, TSPInstance)
-        assert config is not None
-        if plan is not None:
-            return _solve_one_injected(
-                instance, config, seed, plan, attempt, False
-            )
-        return _solve_one(instance, config, seed)
-
-    @staticmethod
-    def _validate(
-        instance: "ProblemLike", result: RunResultLike, backend: str
-    ) -> None:
-        """Integrity-check one result at the dispatch boundary.
-
-        The default backend keeps the exact pre-registry gate
-        (:func:`repro.runtime.faults.validate_result`); named backends
-        supply their own recomputation via
-        :meth:`~repro.backends.base.SolverBackend.validate_result`.
-        """
-        if _default_path(instance, backend):
-            from repro.tsp.instance import TSPInstance
-
-            assert isinstance(instance, TSPInstance)
-            validate_result(instance, result)
-            return
-        from repro.backends import resolve_backend
-
-        resolve_backend(backend).validate_result(instance, result)
-
-    def _attempt_serial(
-        self,
-        instance: "ProblemLike",
-        seed: int,
-        config: Optional[AnnealerConfig],
-        reference: Optional[float],
-        first_error: Optional[BaseException] = None,
-        attempts_used: int = 0,
-        worker_prefix: str = "",
-        worker_suffix: str = "",
-        faults: Optional[List[str]] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        backend: str = _DEFAULT_BACKEND,
-    ) -> Tuple[Optional[RunResultLike], RunTelemetry]:
-        """Run one seed in-process with the retry budget that is left.
-
-        Retries are paced by a bounded, deterministically jittered
-        :class:`Backoff`; the first failure (possibly handed in from a
-        pool attempt via ``first_error``) is preserved in the record's
-        ``first_error`` field even when a later attempt recovers.
-        """
-        plan = self._plan
-        backoff = Backoff(
-            self.options.backoff_base_s,
-            self.options.backoff_cap_s,
-            seed=seed,
-        )
-        faults = list(faults or [])
-        backoff_s = 0.0
-        first = first_error
-        last = first_error
-        attempt = attempts_used
-        while attempt <= self.max_retries:
-            if attempt > 0:
-                backoff_s += backoff.wait(attempt)
-            kind = plan.fault_for(seed, attempt) if plan is not None else None
-            try:
-                result = self._invoke(instance, config, seed, attempt, backend)
-                self._validate(instance, result, backend)
-                if kind is not None:
-                    # In-process execution is certain: the scheduled
-                    # fault ran (a hang slept, then solved clean).
-                    faults.append(kind.value)
-                if breaker is not None:
-                    breaker.record_success()
-                return result, RunTelemetry.from_result(
-                    seed,
-                    result,
-                    reference,
-                    retries=attempt,
-                    worker=f"{worker_prefix}serial{worker_suffix}",
-                    faults_injected=faults,
-                    backoff_s=backoff_s,
-                    first_error=repr(first) if first is not None else "",
-                )
-            except AnnealerError:
-                raise  # configuration errors are not transient: fail loud
-            except Exception as exc:  # noqa: BLE001 — isolate worker faults
-                if kind is not None:
-                    faults.append(kind.value)
-                first = first if first is not None else exc
-                last = exc
-                attempt += 1
-        if breaker is not None:
-            breaker.record_failure()
-        if self.strict:
-            raise AnnealerError(
-                f"run for seed {seed} failed after "
-                f"{self.max_retries + 1} attempts: {last!r}"
-            )
-        return None, RunTelemetry.from_failure(
-            seed,
-            last or RuntimeError("unknown failure"),
-            retries=attempt,
-            worker=f"{worker_prefix}serial{worker_suffix}",
-            faults_injected=faults,
-            backoff_s=backoff_s,
-            first_error=repr(first) if first is not None else "",
-        )
-
-    def _run_serial(
-        self,
-        instance: "ProblemLike",
-        seeds: List[int],
-        config: Optional[AnnealerConfig],
-        reference: Optional[float],
-        mode: str = "serial",
-        *,
-        on_run_complete: Optional[RunCallback] = None,
-        worker_prefix: str = "",
-        worker_suffix: str = "",
-        cancel: Optional["Event"] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        backend: str = _DEFAULT_BACKEND,
-    ) -> Tuple[Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]], str]:
-        by_seed: Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]] = {}
-        for done, seed in enumerate(seeds):
-            self._check_cancel(cancel, done, len(seeds))
-            self._check_breaker(breaker, seed)
-            by_seed[seed] = self._attempt_serial(
-                instance,
-                seed,
-                config,
-                reference,
-                worker_prefix=worker_prefix,
-                worker_suffix=worker_suffix,
-                breaker=breaker,
-                backend=backend,
-            )
-            self._emit(on_run_complete, by_seed[seed][1])
-        return by_seed, mode
-
-    # -- batched dispatch ----------------------------------------------
-    def _batch_groups(self, seeds: List[int]) -> List[List[int]]:
-        """Slice the ordered seeds into ``batch_size`` worker claims."""
-        batch = self.options.batch_size
-        return [seeds[i : i + batch] for i in range(0, len(seeds), batch)]
-
-    def _settle_batch(
-        self,
-        instance: TSPInstance,
-        group: List[int],
-        results: List[AnnealResult],
-        config: AnnealerConfig,
-        reference: Optional[float],
-        worker: str,
-        *,
-        on_run_complete: Optional[RunCallback],
-        worker_prefix: str,
-        worker_suffix: str,
-        breaker: Optional[CircuitBreaker],
-    ) -> Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]]:
-        """Per-seed validation + telemetry for one batched solve.
-
-        One :class:`RunTelemetry` per seed, exactly like the unbatched
-        paths; a seed whose payload fails integrity validation is
-        retried through the ordinary serial path.
-        """
-        settled: Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]] = {}
-        for seed, result in zip(group, results):
-            try:
-                validate_result(instance, result)
-            except AnnealerError:
-                raise
-            except Exception as exc:  # noqa: BLE001 — isolate worker faults
-                settled[seed] = self._attempt_serial(
-                    instance,
-                    seed,
-                    config,
-                    reference,
-                    first_error=exc,
-                    attempts_used=1,
-                    worker_prefix=worker_prefix,
-                    worker_suffix=worker_suffix,
-                    breaker=breaker,
-                )
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                settled[seed] = (
-                    result,
-                    RunTelemetry.from_result(
-                        seed,
-                        result,
-                        reference,
-                        worker=f"{worker_prefix}{worker}{worker_suffix}",
-                    ),
-                )
-            self._emit(on_run_complete, settled[seed][1])
-        return settled
-
-    def _run_serial_batched(
-        self,
-        instance: TSPInstance,
-        seeds: List[int],
-        config: AnnealerConfig,
-        reference: Optional[float],
-        mode: str = "serial",
-        *,
-        on_run_complete: Optional[RunCallback] = None,
-        worker_prefix: str = "",
-        worker_suffix: str = "",
-        cancel: Optional["Event"] = None,
-        breaker: Optional[CircuitBreaker] = None,
-    ) -> Tuple[Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]], str]:
-        """In-process batched loop: one ``solve_batch`` per seed group."""
-        by_seed: Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]] = {}
-        done = 0
-        for group in self._batch_groups(seeds):
-            self._check_cancel(cancel, done, len(seeds))
-            for seed in group:
-                self._check_breaker(breaker, seed)
-            try:
-                results = _solve_batch(instance, config, group)
-            except AnnealerError:
-                raise  # configuration errors are not transient: fail loud
-            except Exception as exc:  # noqa: BLE001 — isolate worker faults
-                for seed in group:
-                    by_seed[seed] = self._attempt_serial(
-                        instance,
-                        seed,
-                        config,
-                        reference,
-                        first_error=exc,
-                        attempts_used=1,
-                        worker_prefix=worker_prefix,
-                        worker_suffix=worker_suffix,
-                        breaker=breaker,
-                    )
-                    self._emit(on_run_complete, by_seed[seed][1])
-            else:
-                by_seed.update(
-                    self._settle_batch(
-                        instance,
-                        group,
-                        results,
-                        config,
-                        reference,
-                        "serial",
-                        on_run_complete=on_run_complete,
-                        worker_prefix=worker_prefix,
-                        worker_suffix=worker_suffix,
-                        breaker=breaker,
-                    )
-                )
-            done += len(group)
-        return by_seed, mode
-
-    def _run_pool_batched(
-        self,
-        instance: TSPInstance,
-        seeds: List[int],
-        config: AnnealerConfig,
-        reference: Optional[float],
-        *,
-        on_run_complete: Optional[RunCallback] = None,
-        pool: Optional["Executor"] = None,
-        worker_prefix: str = "",
-        worker_suffix: str = "",
-        cancel: Optional["Event"] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        on_pool_broken: Optional[PoolHealer] = None,
-    ) -> Tuple[
-        Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]], str, int
-    ]:
-        """Pool dispatch where each worker claims a batch of seeds.
-
-        One future per seed group; a group whose future times out,
-        crashes, or is refused falls back to the ordinary per-seed
-        serial retry path, so failure isolation and telemetry framing
-        are unchanged — only the happy path is batched.  The per-run
-        ``timeout_s`` budget scales by the group size.
-        """
-        from concurrent.futures import TimeoutError as FuturesTimeout
-        from concurrent.futures.process import BrokenProcessPool
-
-        supervisor = _PoolSupervisor(
-            pool,
-            max_workers=self.max_workers,
-            budget=self.options.self_heal_budget,
-            on_pool_broken=on_pool_broken,
-        )
-        if supervisor.owns_pool and not supervisor.build():
-            by_seed, mode = self._run_serial_batched(
-                instance,
-                seeds,
-                config,
-                reference,
-                mode="serial-fallback",
-                on_run_complete=on_run_complete,
-                worker_prefix=worker_prefix,
-                worker_suffix=worker_suffix,
-                cancel=cancel,
-                breaker=breaker,
-            )
-            return by_seed, mode, supervisor.rebuilds
-
-        groups = self._batch_groups(seeds)
-        chunk = self.chunk_size or max(1, 2 * self.max_workers)
-        by_seed: Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]] = {}
-        degraded = False
-        done = 0
-
-        def run_group_serially(group: List[int]) -> None:
-            nonlocal done
-            for seed in group:
-                self._check_cancel(cancel, done, len(seeds))
-                self._check_breaker(breaker, seed)
-                by_seed[seed] = self._attempt_serial(
-                    instance,
-                    seed,
-                    config,
-                    reference,
-                    worker_prefix=worker_prefix,
-                    worker_suffix=worker_suffix,
-                    breaker=breaker,
-                )
-                self._emit(on_run_complete, by_seed[seed][1])
-                done += 1
-
-        def fail_group(group: List[int], exc: BaseException) -> None:
-            nonlocal done
-            for seed in group:
-                by_seed[seed] = self._attempt_serial(
-                    instance,
-                    seed,
-                    config,
-                    reference,
-                    first_error=exc,
-                    attempts_used=1,
-                    worker_prefix=worker_prefix,
-                    worker_suffix=worker_suffix,
-                    breaker=breaker,
-                )
-                self._emit(on_run_complete, by_seed[seed][1])
-                done += 1
-
-        try:
-            for lo in range(0, len(groups), chunk):
-                self._check_cancel(cancel, done, len(seeds))
-                wave = groups[lo : lo + chunk]
-                if degraded:
-                    for group in wave:
-                        run_group_serially(group)
-                    continue
-                wave_pool = supervisor.pool
-                assert wave_pool is not None
-                futures: Dict[int, "Future[List[AnnealResult]]"] = {}
-                try:
-                    for gi, group in enumerate(wave):
-                        futures[gi] = wave_pool.submit(
-                            _solve_batch, instance, config, list(group)
-                        )
-                    refused = False
-                # A borrowed pool can be shut down or broken by a
-                # sibling job mid-flight; heal or degrade, then finish
-                # the wave serially (already-submitted futures are
-                # abandoned: reruns are deterministic per seed).
-                except Exception:  # repro-lint: ignore[RL005]
-                    refused = True
-                if refused:
-                    if not supervisor.heal():
-                        degraded = True
-                    for group in wave:
-                        run_group_serially(group)
-                    continue
-                pool_broke = False
-                for gi, fut in futures.items():
-                    group = wave[gi]
-                    for seed in group:
-                        self._check_breaker(breaker, seed)
-                    budget = (
-                        None
-                        if self.timeout_s is None
-                        else self.timeout_s * len(group)
-                    )
-                    try:
-                        results = fut.result(timeout=budget)
-                    except FuturesTimeout:
-                        hung = not fut.cancel()
-                        if hung:
-                            supervisor.note_hung(fut)
-                        fail_group(
-                            group,
-                            TimeoutError(
-                                f"batch of {len(group)} runs exceeded "
-                                f"{budget}s in pool"
-                            ),
-                        )
-                        continue
-                    except AnnealerError:
-                        raise
-                    except Exception as exc:  # worker crash / broken pool
-                        if isinstance(exc, BrokenProcessPool):
-                            pool_broke = True
-                        fail_group(group, exc)
-                        continue
-                    by_seed.update(
-                        self._settle_batch(
-                            instance,
-                            group,
-                            results,
-                            config,
-                            reference,
-                            "pool",
-                            on_run_complete=on_run_complete,
-                            worker_prefix=worker_prefix,
-                            worker_suffix=worker_suffix,
-                            breaker=breaker,
-                        )
-                    )
-                    done += len(group)
-                if pool_broke or supervisor.starved():
-                    if not supervisor.heal():
-                        degraded = True
-        finally:
-            supervisor.shutdown()
-        mode = "serial-fallback" if degraded else "parallel"
-        return by_seed, mode, supervisor.rebuilds
-
-    # ------------------------------------------------------------------
-    def _submit_wave(
-        self,
-        supervisor: _PoolSupervisor,
-        wave: List[int],
-        instance: "ProblemLike",
-        config: Optional[AnnealerConfig],
-        backend: str = _DEFAULT_BACKEND,
-    ) -> Optional[Dict[int, "Future[RunResultLike]"]]:
-        """Submit one dispatch wave; None when the pool refuses.
-
-        A partial submission (pool breaking mid-wave) abandons the
-        already-submitted futures — their seeds are re-run serially by
-        the caller, which is deterministic because every run is a pure
-        function of its seed.
-        """
-        pool = supervisor.pool
-        assert pool is not None
-        plan = self._plan
-        try:
-            if not _default_path(instance, backend):
-                if plan is not None:
-                    return {
-                        seed: pool.submit(
-                            _solve_backend_injected,
-                            backend,
-                            instance,
-                            config,
-                            seed,
-                            plan,
-                            0,
-                            True,
-                        )
-                        for seed in wave
-                    }
-                return {
-                    seed: pool.submit(
-                        _solve_backend_one, backend, instance, config, seed
-                    )
-                    for seed in wave
-                }
-            from repro.tsp.instance import TSPInstance
-
-            assert isinstance(instance, TSPInstance)
-            assert config is not None
-            if plan is not None:
-                return {
-                    seed: pool.submit(
-                        _solve_one_injected,
-                        instance,
-                        config,
-                        seed,
-                        plan,
-                        0,
-                        True,
-                    )
-                    for seed in wave
-                }
-            return {
-                seed: pool.submit(_solve_one, instance, config, seed)
-                for seed in wave
-            }
-        # A borrowed pool can be shut down or broken by a sibling job
-        # mid-flight; the caller heals or degrades.
-        except Exception:  # repro-lint: ignore[RL005]
-            return None
-
-    @staticmethod
-    def _fault_observed(
-        kind: Optional[FaultKind],
-        exc: Optional[BaseException],
-        hung: bool,
-    ) -> bool:
-        """Did the fault scheduled for a *pool* attempt actually run?
-
-        Pool execution is not certain (a queued task can be cancelled
-        or killed by a sibling's pool breakage before its own fault
-        fires), so injected-fault accounting for pool attempts goes by
-        the observed outcome instead of the schedule alone.
-        """
-        from concurrent.futures import TimeoutError as FuturesTimeout
-        from concurrent.futures.process import BrokenProcessPool
-
-        if kind is None:
-            return False
-        if exc is None:
-            # Ran to completion: only a hang (slept, then solved) or a
-            # corrupt fault (caught by validation, so not here) can
-            # coexist with success.
-            return True
-        if isinstance(exc, InjectedFault):
-            return True
-        if isinstance(exc, ResultIntegrityError):
-            return kind is FaultKind.CORRUPT
-        if isinstance(exc, FuturesTimeout):
-            # Only a *running* worker has executed its injected sleep;
-            # a still-queued future timed out on queue wait instead.
-            return kind is FaultKind.HANG and hung
-        if isinstance(exc, BrokenProcessPool):
-            return kind is FaultKind.BROKEN_POOL
-        return False
-
-    def _run_pool(
-        self,
-        instance: "ProblemLike",
-        seeds: List[int],
-        config: Optional[AnnealerConfig],
-        reference: Optional[float],
-        *,
-        on_run_complete: Optional[RunCallback] = None,
-        pool: Optional["Executor"] = None,
-        worker_prefix: str = "",
-        worker_suffix: str = "",
-        cancel: Optional["Event"] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        on_pool_broken: Optional[PoolHealer] = None,
-        backend: str = _DEFAULT_BACKEND,
-    ) -> Tuple[
-        Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]], str, int
-    ]:
-        from concurrent.futures import TimeoutError as FuturesTimeout
-        from concurrent.futures.process import BrokenProcessPool
-
-        supervisor = _PoolSupervisor(
-            pool,
-            max_workers=self.max_workers,
-            budget=self.options.self_heal_budget,
-            on_pool_broken=on_pool_broken,
-        )
-        if supervisor.owns_pool and not supervisor.build():
-            by_seed, mode = self._run_serial(
-                instance,
-                seeds,
-                config,
-                reference,
-                mode="serial-fallback",
-                on_run_complete=on_run_complete,
-                worker_prefix=worker_prefix,
-                worker_suffix=worker_suffix,
-                cancel=cancel,
-                breaker=breaker,
-                backend=backend,
-            )
-            return by_seed, mode, supervisor.rebuilds
-
-        plan = self._plan
-        by_seed: Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]] = {}
-        chunk = self.chunk_size or max(1, 2 * self.max_workers)
-        degraded = False
-
-        def run_wave_serially(lo: int, wave: List[int]) -> None:
-            for offset, seed in enumerate(wave):
-                self._check_cancel(cancel, lo + offset, len(seeds))
-                self._check_breaker(breaker, seed)
-                by_seed[seed] = self._attempt_serial(
-                    instance,
-                    seed,
-                    config,
-                    reference,
-                    worker_prefix=worker_prefix,
-                    worker_suffix=worker_suffix,
-                    breaker=breaker,
-                    backend=backend,
-                )
-                self._emit(on_run_complete, by_seed[seed][1])
-
-        try:
-            for lo in range(0, len(seeds), chunk):
-                self._check_cancel(cancel, lo, len(seeds))
-                wave = seeds[lo : lo + chunk]
-                if degraded:
-                    run_wave_serially(lo, wave)
-                    continue
-                futures = self._submit_wave(
-                    supervisor, wave, instance, config, backend
-                )
-                if futures is None:
-                    # The pool refused the wave (broken / shut down by a
-                    # sibling): heal it for the *next* wave if the
-                    # budget allows, and finish this one serially.
-                    if not supervisor.heal():
-                        degraded = True
-                    run_wave_serially(lo, wave)
-                    continue
-                pool_broke = False
-                for seed, fut in futures.items():
-                    self._check_breaker(breaker, seed)
-                    kind = plan.fault_for(seed, 0) if plan is not None else None
-                    try:
-                        result = fut.result(timeout=self.timeout_s)
-                        self._validate(instance, result, backend)
-                        if breaker is not None:
-                            breaker.record_success()
-                        by_seed[seed] = (
-                            result,
-                            RunTelemetry.from_result(
-                                seed,
-                                result,
-                                reference,
-                                worker=f"{worker_prefix}pool{worker_suffix}",
-                                faults_injected=(
-                                    [kind.value]
-                                    if self._fault_observed(kind, None, False)
-                                    else []
-                                ),
-                            ),
-                        )
-                    except FuturesTimeout as exc:
-                        # Reclaim the worker slot if the run never
-                        # started; a running (hung) worker cannot be
-                        # cancelled and occupies its slot until done.
-                        hung = not fut.cancel()
-                        if hung:
-                            supervisor.note_hung(fut)
-                        by_seed[seed] = self._attempt_serial(
-                            instance,
-                            seed,
-                            config,
-                            reference,
-                            first_error=TimeoutError(
-                                f"run exceeded {self.timeout_s}s in pool"
-                            ),
-                            attempts_used=1,
-                            worker_prefix=worker_prefix,
-                            worker_suffix=worker_suffix,
-                            faults=(
-                                [kind.value]
-                                if self._fault_observed(kind, exc, hung)
-                                else []
-                            ),
-                            breaker=breaker,
-                            backend=backend,
-                        )
-                    except AnnealerError:
-                        raise
-                    except Exception as exc:  # worker crash / broken pool
-                        if isinstance(exc, BrokenProcessPool):
-                            pool_broke = True
-                        by_seed[seed] = self._attempt_serial(
-                            instance,
-                            seed,
-                            config,
-                            reference,
-                            first_error=exc,
-                            attempts_used=1,
-                            worker_prefix=worker_prefix,
-                            worker_suffix=worker_suffix,
-                            faults=(
-                                [kind.value]
-                                if self._fault_observed(kind, exc, False)
-                                else []
-                            ),
-                            breaker=breaker,
-                            backend=backend,
-                        )
-                    self._emit(on_run_complete, by_seed[seed][1])
-                if pool_broke or supervisor.starved():
-                    # Self-heal: replace the broken/starved pool within
-                    # the budget instead of degrading for good.
-                    if not supervisor.heal():
-                        degraded = True
-        finally:
-            supervisor.shutdown()
-        mode = "serial-fallback" if degraded else "parallel"
-        return by_seed, mode, supervisor.rebuilds

@@ -13,10 +13,10 @@ same way write-back recovers the weight state.
   function of ``(plan.seed, seed, attempt)``, so the dispatching
   parent can account for every injected fault without any side channel
   from the worker, and a chaos run is reproducible from one seed.
-* :class:`FaultInjector` — executes the plan inside
-  :func:`repro.runtime.executor._solve_one_injected`: raises for
-  crashes, sleeps through hangs, tampers results for corruption, and
-  kills the worker process for broken-pool faults.
+* :class:`FaultInjector` — executes the plan around one work unit in
+  :func:`repro.runtime.executor._solve_unit`: raises for crashes,
+  sleeps through hangs, tampers results for corruption, and kills the
+  worker process for broken-pool faults.
 * :func:`validate_result` — the integrity gate at the pool boundary:
   a returned tour must be a valid permutation whose recomputed length
   matches the reported one; anything else is a transient worker fault
@@ -71,6 +71,32 @@ class FaultKind(str, Enum):
     HANG = "hang"
     CORRUPT = "corrupt"
     BROKEN_POOL = "broken-pool"
+
+    def observed(self, exc: Optional[BaseException], hung: bool) -> bool:
+        """Did this fault, scheduled for a *pool* attempt, actually run?
+
+        Pool execution is not certain (a queued task can be cancelled
+        or killed by a sibling's pool breakage before its own fault
+        fires), so pool-attempt accounting goes by the observed
+        outcome: ``exc`` is the attempt's error (None on success) and
+        ``hung`` says a timed-out worker was still running.
+        """
+        from concurrent.futures.process import BrokenProcessPool
+
+        if exc is None or isinstance(exc, InjectedFault):
+            # Raised the injected crash, or ran to completion: only a
+            # hang (slept, then solved) can coexist with success, since
+            # a corrupt result fails validation.
+            return True
+        if isinstance(exc, ResultIntegrityError):
+            return self is FaultKind.CORRUPT
+        if isinstance(exc, TimeoutError):
+            # Only a *running* worker has executed its injected sleep; a
+            # still-queued attempt timed out on queue wait instead.
+            return self is FaultKind.HANG and hung
+        if isinstance(exc, BrokenProcessPool):
+            return self is FaultKind.BROKEN_POOL
+        return False
 
 
 class InjectedFault(RuntimeError):
@@ -319,7 +345,7 @@ class ShardFaultPlan:
 class FaultInjector:
     """Executes a :class:`FaultPlan` around one solve attempt.
 
-    Lives worker-side: :func:`repro.runtime.executor._solve_one_injected`
+    Lives worker-side: :func:`repro.runtime.executor._solve_unit`
     builds one per attempt from the (picklable) plan and calls
     :meth:`pre_solve` before and :meth:`post_solve` after the real
     solve.

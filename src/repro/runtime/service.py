@@ -24,7 +24,8 @@ backpressure by awaiting a free slot), and one job may have at most
 ``max_inflight_per_job`` seeds in flight, so a 10 000-seed ensemble
 cannot starve its siblings.  Shutdown is graceful by choice:
 ``drain=True`` finishes admitted jobs, ``drain=False`` cancels them
-cooperatively (in-flight seeds finish; no further seeds dispatch).
+cooperatively (no further seeds dispatch; in-flight results are
+dropped).
 
 Internally each job's dispatch runs on a private thread (the event
 loop is never blocked) and reuses the battle-tested
@@ -42,6 +43,7 @@ import asyncio
 import itertools
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import replace
 from enum import Enum
 from typing import (
     TYPE_CHECKING,
@@ -124,10 +126,11 @@ class Job:
     def cancel(self) -> None:
         """Request cooperative cancellation.
 
-        In-flight seeds finish; no further seeds are dispatched.  The
-        job settles in :attr:`JobState.CANCELLED` and
-        :meth:`result` raises :class:`AnnealerError`.  No-op on a
-        finished job.
+        No further seeds are dispatched, and a seed that finishes after
+        the cancel is dropped rather than emitted.  Unless its last
+        record was already emitted, the job settles in
+        :attr:`JobState.CANCELLED` and :meth:`result` raises
+        :class:`AnnealerError`.  No-op on a finished job.
         """
         self._cancel_event.set()
 
@@ -496,8 +499,7 @@ class AnnealingService:
         reference = request.reference
         if reference is None:
             # The backend supplies the quality denominator; the default
-            # cluster-cim backend computes the exact pre-registry
-            # greedy reference_length, bit-identical.
+            # cluster-cim backend computes the greedy reference_length.
             reference = resolve_backend(request.backend).reference(
                 request.instance, int(seeds[0])
             )
@@ -554,21 +556,7 @@ class AnnealingService:
         width = self.options.max_workers
         cap = requested.effective_inflight_per_job
         chunk = min(requested.chunk_size or max(1, 2 * width), cap)
-        return EnsembleOptions(
-            max_workers=width,
-            timeout_s=requested.timeout_s,
-            max_retries=requested.max_retries,
-            chunk_size=chunk,
-            strict=requested.strict,
-            max_inflight_per_job=requested.max_inflight_per_job,
-            max_pending_jobs=requested.max_pending_jobs,
-            backoff_base_s=requested.backoff_base_s,
-            backoff_cap_s=requested.backoff_cap_s,
-            self_heal_budget=requested.self_heal_budget,
-            breaker_threshold=requested.breaker_threshold,
-            fault_plan=requested.fault_plan,
-            batch_size=requested.batch_size,
-        )
+        return replace(requested, max_workers=width, chunk_size=chunk)
 
     def _heal_pool(
         self, broken: "ProcessPoolExecutor"

@@ -52,19 +52,13 @@ class TestDenseAnneal:
                 inst, params=DenseTSPAnnealParams(penalty_scale=0.0)
             )
 
-    def test_legacy_loose_arguments_warn_then_match(self):
-        # Pre-1.3 signature: shimmed for one release (docs/serving.md).
+    def test_legacy_loose_arguments_removed(self):
+        # Pre-1.3 signature: shimmed in 1.3, removed in 1.4.
         inst = random_uniform(7, seed=3)
-        new = anneal_dense_tsp(
-            inst, params=DenseTSPAnnealParams(n_sweeps=60), seed=5
-        )
-        with pytest.warns(DeprecationWarning, match="DenseTSPAnnealParams"):
-            old = anneal_dense_tsp(inst, n_sweeps=60, seed=5)
-        assert old.length == new.length
-        with pytest.raises(TypeError, match="not both"):
-            anneal_dense_tsp(
-                inst, n_sweeps=5, params=DenseTSPAnnealParams()
-            )
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            anneal_dense_tsp(inst, n_sweeps=60, seed=5)
+        with pytest.raises(TypeError, match="positional"):
+            anneal_dense_tsp(inst, 60)
 
     def test_weak_penalties_break_feasibility(self):
         # The classic failure mode: with soft constraints the chain

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from repro.annealer.config import AnnealerConfig
+from repro.backends.cluster_cim import ClusterCIMBackend
 from repro.errors import AnnealerError
-from repro.runtime.executor import EnsembleExecutor, _solve_one
+from repro.ising.schedule import VddSchedule
+from repro.runtime.executor import EnsembleExecutor
+from repro.runtime.faults import FaultPlan
 from repro.runtime.options import EnsembleOptions
 from repro.tsp.generators import random_uniform
 
@@ -47,8 +50,10 @@ class TestSerialPath:
         results, tel = EnsembleExecutor(EnsembleOptions(max_workers=1)).run(instance, SEEDS)
         assert tel.mode == "serial"
         assert [t.seed for t in tel.runs] == SEEDS
+        backend = ClusterCIMBackend()
+        plan = backend.compile(instance, None)
         for seed, res in zip(SEEDS, results):
-            expected = _solve_one(instance, AnnealerConfig(), seed)
+            expected = backend.solve(plan, seed)
             assert res.length == expected.length
 
     def test_telemetry_complete(self, instance):
@@ -88,8 +93,6 @@ class TestParallelPath:
         # seed at a time, so both seeds must time out in the pool and
         # complete via the in-process retry — attempt 1 is always
         # clean by schedule (max_faults_per_run=1).
-        from repro.runtime.faults import FaultPlan
-
         plan = FaultPlan(
             seed=99, hang_rate=1.0, hang_s=0.4, max_faults_per_run=1
         )
@@ -130,16 +133,14 @@ class TestParallelPath:
 
 class TestFailureIsolation:
     def test_failed_run_reported_not_raised(self, instance, monkeypatch):
-        import repro.runtime.executor as executor_mod
+        real = ClusterCIMBackend.solve
 
-        real = executor_mod._solve_one
-
-        def flaky(inst, config, seed):
+        def flaky(backend, plan, seed):
             if seed == 2:
                 raise RuntimeError("injected crash")
-            return real(inst, config, seed)
+            return real(backend, plan, seed)
 
-        monkeypatch.setattr(executor_mod, "_solve_one", flaky)
+        monkeypatch.setattr(ClusterCIMBackend, "solve", flaky)
         results, tel = EnsembleExecutor(EnsembleOptions(max_retries=1)).run(
             instance, [1, 2, 3]
         )
@@ -152,47 +153,41 @@ class TestFailureIsolation:
         assert tel.n_failed == 1
 
     def test_retry_recovers_transient_failure(self, instance, monkeypatch):
-        import repro.runtime.executor as executor_mod
-
-        real = executor_mod._solve_one
+        real = ClusterCIMBackend.solve
         calls = {"n": 0}
 
-        def transient(inst, config, seed):
+        def transient(backend, plan, seed):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("transient")
-            return real(inst, config, seed)
+            return real(backend, plan, seed)
 
-        monkeypatch.setattr(executor_mod, "_solve_one", transient)
+        monkeypatch.setattr(ClusterCIMBackend, "solve", transient)
         results, tel = EnsembleExecutor(EnsembleOptions(max_retries=2)).run(instance, [5])
         assert len(results) == 1
         assert tel.runs[0].ok and tel.runs[0].retries == 1
 
     def test_strict_mode_raises(self, instance, monkeypatch):
-        import repro.runtime.executor as executor_mod
-
-        def always_fails(inst, config, seed):
+        def always_fails(backend, plan, seed):
             raise RuntimeError("permanent")
 
-        monkeypatch.setattr(executor_mod, "_solve_one", always_fails)
+        monkeypatch.setattr(ClusterCIMBackend, "solve", always_fails)
         with pytest.raises(AnnealerError, match="failed after"):
             EnsembleExecutor(EnsembleOptions(max_retries=1, strict=True)).run(instance, [1])
 
 
 class TestRetryAccounting:
     def test_first_error_preserved_across_recovery(self, instance, monkeypatch):
-        import repro.runtime.executor as executor_mod
-
-        real = executor_mod._solve_one
+        real = ClusterCIMBackend.solve
         calls = {"n": 0}
 
-        def transient(inst, config, seed):
+        def transient(backend, plan, seed):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise ValueError("flaky init")
-            return real(inst, config, seed)
+            return real(backend, plan, seed)
 
-        monkeypatch.setattr(executor_mod, "_solve_one", transient)
+        monkeypatch.setattr(ClusterCIMBackend, "solve", transient)
         _, tel = EnsembleExecutor(
             EnsembleOptions(max_retries=2, backoff_base_s=0.0)
         ).run(instance, [5])
@@ -219,15 +214,13 @@ class TestRetryAccounting:
     def test_terminal_failure_keeps_first_and_last_error(
         self, instance, monkeypatch
     ):
-        import repro.runtime.executor as executor_mod
-
         calls = {"n": 0}
 
-        def changing(inst, config, seed):
+        def changing(backend, plan, seed):
             calls["n"] += 1
             raise RuntimeError(f"fault #{calls['n']}")
 
-        monkeypatch.setattr(executor_mod, "_solve_one", changing)
+        monkeypatch.setattr(ClusterCIMBackend, "solve", changing)
         _, tel = EnsembleExecutor(
             EnsembleOptions(max_retries=1, backoff_base_s=0.0)
         ).run(instance, [5])
@@ -237,18 +230,16 @@ class TestRetryAccounting:
         assert "fault #2" in run.error
 
     def test_backoff_recorded_and_deterministic(self, instance, monkeypatch):
-        import repro.runtime.executor as executor_mod
-
-        real = executor_mod._solve_one
+        real = ClusterCIMBackend.solve
         calls = {"n": 0}
 
-        def transient(inst, config, seed):
+        def transient(backend, plan, seed):
             calls["n"] += 1
             if calls["n"] % 2 == 1:
                 raise RuntimeError("transient")
-            return real(inst, config, seed)
+            return real(backend, plan, seed)
 
-        monkeypatch.setattr(executor_mod, "_solve_one", transient)
+        monkeypatch.setattr(ClusterCIMBackend, "solve", transient)
         opts = EnsembleOptions(
             max_retries=1, backoff_base_s=0.002, backoff_cap_s=0.004
         )
@@ -261,17 +252,15 @@ class TestRetryAccounting:
 
 class TestCircuitBreakerDispatch:
     def test_open_breaker_fails_fast_mid_ensemble(self, instance, monkeypatch):
-        import repro.runtime.executor as executor_mod
-
         from repro.runtime.faults import CircuitBreaker, CircuitOpenError
 
         attempted = []
 
-        def always_fails(inst, config, seed):
+        def always_fails(backend, plan, seed):
             attempted.append(seed)
             raise RuntimeError("permanent")
 
-        monkeypatch.setattr(executor_mod, "_solve_one", always_fails)
+        monkeypatch.setattr(ClusterCIMBackend, "solve", always_fails)
         breaker = CircuitBreaker(2)
         with pytest.raises(CircuitOpenError, match="circuit breaker open"):
             EnsembleExecutor(
@@ -281,18 +270,16 @@ class TestCircuitBreakerDispatch:
         assert breaker.consecutive_failures == 2
 
     def test_success_resets_breaker(self, instance, monkeypatch):
-        import repro.runtime.executor as executor_mod
-
         from repro.runtime.faults import CircuitBreaker
 
-        real = executor_mod._solve_one
+        real = ClusterCIMBackend.solve
 
-        def alternating(inst, config, seed):
+        def alternating(backend, plan, seed):
             if seed % 2 == 0:
                 raise RuntimeError("even seeds fail")
-            return real(inst, config, seed)
+            return real(backend, plan, seed)
 
-        monkeypatch.setattr(executor_mod, "_solve_one", alternating)
+        monkeypatch.setattr(ClusterCIMBackend, "solve", alternating)
         breaker = CircuitBreaker(2)
         results, tel = EnsembleExecutor(
             EnsembleOptions(max_retries=0, backoff_base_s=0.0)
@@ -312,16 +299,14 @@ class TestCompletionCallback:
         assert [r.seed for r in seen] == [t.seed for t in tel.runs]
 
     def test_callback_sees_failures_too(self, instance, monkeypatch):
-        import repro.runtime.executor as executor_mod
+        real = ClusterCIMBackend.solve
 
-        real = executor_mod._solve_one
-
-        def flaky(inst, config, seed):
+        def flaky(backend, plan, seed):
             if seed == 2:
                 raise RuntimeError("injected crash")
-            return real(inst, config, seed)
+            return real(backend, plan, seed)
 
-        monkeypatch.setattr(executor_mod, "_solve_one", flaky)
+        monkeypatch.setattr(ClusterCIMBackend, "solve", flaky)
         seen = []
         EnsembleExecutor(EnsembleOptions(max_retries=0)).run(
             instance, [1, 2, 3], on_run_complete=seen.append
@@ -465,12 +450,10 @@ class TestBatchedDispatch:
         assert sorted(seen) == sorted(SEEDS)
 
     def test_batch_failure_falls_back_per_seed(self, instance, monkeypatch):
-        import repro.runtime.executor as executor_mod
-
-        def exploding_batch(inst, config, seeds):
+        def exploding_batch(backend, plan, seeds):
             raise RuntimeError("batched kernel exploded")
 
-        monkeypatch.setattr(executor_mod, "_solve_batch", exploding_batch)
+        monkeypatch.setattr(ClusterCIMBackend, "solve_group", exploding_batch)
         results, tel = EnsembleExecutor(
             EnsembleOptions(batch_size=3)
         ).run(instance, SEEDS)
@@ -483,13 +466,10 @@ class TestBatchedDispatch:
     def test_fault_plan_pins_batch_to_one(self, instance, monkeypatch):
         # Chaos runs need per-seed attempt accounting, so an active
         # plan must bypass the batched path entirely.
-        import repro.runtime.executor as executor_mod
-        from repro.runtime.faults import FaultPlan
-
         def forbidden(*args, **kwargs):
             raise AssertionError("batched path used under a fault plan")
 
-        monkeypatch.setattr(executor_mod, "_solve_batch", forbidden)
+        monkeypatch.setattr(ClusterCIMBackend, "solve_group", forbidden)
         plan = FaultPlan(seed=1, crash_rate=0.5, max_faults_per_run=1)
         results, tel = EnsembleExecutor(
             EnsembleOptions(batch_size=4, max_retries=2,
@@ -512,3 +492,86 @@ class TestBatchedDispatch:
         ).run(instance, SEEDS)
         assert tel.mode == "serial-fallback"
         assert len(results) == len(SEEDS) and all(t.ok for t in tel.runs)
+
+
+CHEAP = AnnealerConfig(
+    schedule=VddSchedule(total_iterations=40, iterations_per_step=10)
+)
+
+
+def dispatch_case(case):
+    """(problem, config, backend) for one collapsed-dispatch case."""
+    if case == "cluster-cim-tsp":
+        return random_uniform(20, seed=4), CHEAP, "cluster-cim"
+    if case == "cluster-cim-qubo":
+        from repro.problems import make_problem
+
+        return make_problem("coloring", 6, seed=2).to_qubo(), None, "cluster-cim"
+    return random_uniform(8, seed=5), None, "dense-ising"
+
+
+class TestCollapsedDispatch:
+    """One work unit and two loops: every (pool width, batch width)
+    combination equals the max_workers=1, batch_size=1 oracle."""
+
+    SEEDS = [7, 3, 5, 1, 9]  # batch_size=4: a group of four, then one
+
+    @pytest.mark.parametrize(
+        "case", ["cluster-cim-tsp", "cluster-cim-qubo", "dense-ising"]
+    )
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_matches_serial_oracle(self, case, batch_size, max_workers):
+        problem, config, backend = dispatch_case(case)
+        oracle, _ = EnsembleExecutor(EnsembleOptions()).run(
+            problem, self.SEEDS, config=config, backend=backend
+        )
+        seen = []
+        results, tel = EnsembleExecutor(
+            EnsembleOptions(max_workers=max_workers, batch_size=batch_size)
+        ).run(
+            problem,
+            self.SEEDS,
+            config=config,
+            backend=backend,
+            on_run_complete=seen.append,
+        )
+        assert sorted(r.seed for r in seen) == sorted(self.SEEDS)
+        assert [r.seed for r in tel.runs] == self.SEEDS
+        assert len(results) == len(oracle) == len(self.SEEDS)
+        for fast, slow in zip(results, oracle):
+            assert np.array_equal(fast.tour, slow.tour)
+            assert fast.length == slow.length
+        worker = "serial" if max_workers == 1 else "pool"
+        assert tel.mode == ("serial" if max_workers == 1 else "parallel")
+        for run in tel.runs:
+            assert run.ok and run.retries == 0
+            assert run.worker == worker and run.backend == backend
+
+
+@pytest.mark.chaos
+class TestAttemptBound:
+    """docs/robustness.md: one executor run makes at most
+    ``max_retries + 1`` attempts per seed, in-process or pooled."""
+
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_every_attempt_faulted_uses_exactly_the_budget(
+        self, instance, max_workers, max_retries
+    ):
+        # Every attempt crashes, so each recorded fault is one attempt
+        # that ran: the count is the per-executor factor itself.
+        plan = FaultPlan(seed=1, crash_rate=1.0, max_faults_per_run=99)
+        results, tel = EnsembleExecutor(
+            EnsembleOptions(
+                max_workers=max_workers,
+                max_retries=max_retries,
+                backoff_base_s=0.0,
+                fault_plan=plan,
+            )
+        ).run(instance, [0, 1])
+        assert results == []
+        for run in tel.runs:
+            assert not run.ok
+            assert run.retries == max_retries + 1
+            assert run.faults_injected == ["crash"] * (max_retries + 1)

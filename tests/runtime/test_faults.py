@@ -7,8 +7,9 @@ from concurrent.futures import Future
 import pytest
 
 from repro.annealer.config import AnnealerConfig
+from repro.backends.cluster_cim import ClusterCIMBackend
 from repro.errors import AnnealerError
-from repro.runtime.executor import _PoolSupervisor, _solve_one
+from repro.runtime.executor import _PoolSupervisor
 from repro.runtime.faults import (
     Backoff,
     CircuitBreaker,
@@ -32,7 +33,8 @@ def instance():
 
 @pytest.fixture(scope="module")
 def result(instance):
-    return _solve_one(instance, AnnealerConfig(), 0)
+    backend = ClusterCIMBackend()
+    return backend.solve(backend.compile(instance, AnnealerConfig()), 0)
 
 
 class TestFaultPlan:

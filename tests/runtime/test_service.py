@@ -1,11 +1,12 @@
 """Tests for the async multi-instance serving runtime.
 
 Native ``async def`` tests; ``conftest.py`` runs each on a fresh event
-loop.  Deterministic streaming/admission tests gate the worker entry
-point (``repro.runtime.executor._solve_one``) with threading events —
-that only works with ``max_workers=1`` (in-process dispatch), which is
-also what keeps them timing-independent.  The shared-pool test at the
-end exercises the real process pool without gates.
+loop.  Deterministic streaming/admission tests gate the cluster-cim
+backend's per-seed solve (``ClusterCIMBackend.solve``) with threading
+events — that only works with ``max_workers=1`` (in-process
+dispatch), which is also what keeps them timing-independent.  The
+shared-pool test at the end exercises the real process pool without
+gates.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.annealer.batch import solve_ensemble
+from repro.backends.cluster_cim import ClusterCIMBackend
 from repro.errors import AnnealerError
 from repro.runtime.options import EnsembleOptions, SolveRequest
 from repro.runtime.service import AnnealingService, Job, JobState
@@ -51,13 +53,16 @@ class Gate:
     """Per-seed gates for deterministically pacing in-process solves."""
 
     def __init__(self, monkeypatch):
-        import repro.runtime.executor as executor_mod
-
-        self._real = executor_mod._solve_one
+        real = ClusterCIMBackend.solve
         self._events = {}
         self._all_open = False
         self._lock = threading.Lock()
-        monkeypatch.setattr(executor_mod, "_solve_one", self._gated)
+
+        def gated(backend, plan, seed):
+            assert self._event(seed).wait(timeout=WAIT), f"seed {seed} starved"
+            return real(backend, plan, seed)
+
+        monkeypatch.setattr(ClusterCIMBackend, "solve", gated)
 
     def _event(self, seed):
         with self._lock:
@@ -65,10 +70,6 @@ class Gate:
             if self._all_open:
                 event.set()
             return event
-
-    def _gated(self, inst, config, seed):
-        assert self._event(seed).wait(timeout=WAIT), f"seed {seed} starved"
-        return self._real(inst, config, seed)
 
     def release(self, *seeds):
         for seed in seeds:
@@ -361,12 +362,10 @@ class TestDeadlines:
 
 class TestFailureSurfacing:
     async def test_strict_failure_fails_job(self, instance, monkeypatch):
-        import repro.runtime.executor as executor_mod
-
-        def always_fails(inst, config, seed):
+        def always_fails(backend, plan, seed):
             raise RuntimeError("permanent")
 
-        monkeypatch.setattr(executor_mod, "_solve_one", always_fails)
+        monkeypatch.setattr(ClusterCIMBackend, "solve", always_fails)
         request = SolveRequest.build(
             instance, [1], options=serial_options(strict=True, max_retries=0)
         )
@@ -379,12 +378,10 @@ class TestFailureSurfacing:
     async def test_all_failed_non_strict_fails_job(
         self, instance, monkeypatch
     ):
-        import repro.runtime.executor as executor_mod
-
-        def always_fails(inst, config, seed):
+        def always_fails(backend, plan, seed):
             raise RuntimeError("permanent")
 
-        monkeypatch.setattr(executor_mod, "_solve_one", always_fails)
+        monkeypatch.setattr(ClusterCIMBackend, "solve", always_fails)
         request = SolveRequest.build(
             instance, [1, 2], options=serial_options(max_retries=0)
         )
@@ -405,16 +402,14 @@ class TestFailureSurfacing:
         # Seeds below 100 fail terminally; the faulting job's breaker
         # trips after 2 consecutive failures and fails fast, while the
         # sibling job on the same service completes untouched.
-        import repro.runtime.executor as executor_mod
+        real = ClusterCIMBackend.solve
 
-        real = executor_mod._solve_one
-
-        def low_seeds_fail(inst, config, seed):
+        def low_seeds_fail(backend, plan, seed):
             if seed < 100:
                 raise RuntimeError("persistent fault")
-            return real(inst, config, seed)
+            return real(backend, plan, seed)
 
-        monkeypatch.setattr(executor_mod, "_solve_one", low_seeds_fail)
+        monkeypatch.setattr(ClusterCIMBackend, "solve", low_seeds_fail)
         faulty = SolveRequest.build(
             instance,
             [1, 2, 3, 4, 5],
@@ -448,9 +443,17 @@ class TestSharedPool:
         telemetry incrementally and produce bit-identical results."""
         seeds_a, seeds_b = [31, 32, 33], [41, 42]
         options = EnsembleOptions(max_workers=2)
+        # One seed in flight per job: each job's records then arrive a
+        # solve apart, so no job can finish inside one loop iteration
+        # before the consumers see its first record.
+        one_at_a_time = EnsembleOptions(max_inflight_per_job=1)
         async with AnnealingService(options) as service:
-            job_a = await service.submit(SolveRequest.build(instance, seeds_a))
-            job_b = await service.submit(SolveRequest.build(instance, seeds_b))
+            job_a = await service.submit(
+                SolveRequest.build(instance, seeds_a, options=one_at_a_time)
+            )
+            job_b = await service.submit(
+                SolveRequest.build(instance, seeds_b, options=one_at_a_time)
+            )
             events = []
 
             async def consume(job: Job):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import importlib
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PACKAGES = [
     "repro",
@@ -37,7 +40,17 @@ class TestPublicAPI:
     def test_version_exposed(self):
         import repro
 
-        assert repro.__version__ == "1.3.0"
+        assert repro.__version__ == "1.4.0"
+
+    def test_version_single_sourced(self):
+        # pyproject.toml reads the version from repro.__version__.
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            meta = tomllib.load(fh)
+        assert "version" not in meta["project"]
+        assert meta["project"]["dynamic"] == ["version"]
+        dynamic = meta["tool"]["setuptools"]["dynamic"]
+        assert dynamic["version"] == {"attr": "repro.__version__"}
 
     def test_headline_workflow_importable_from_root(self):
         # The README quickstart must work from the root namespace alone.
@@ -54,7 +67,7 @@ class TestPublicAPI:
 
     def test_runtime_surface_pinned(self):
         # The serving runtime's public surface is exactly this; executor
-        # internals (_solve_one, chunking helpers) stay private.
+        # internals (_solve_unit, the dispatch loops) stay private.
         import repro.runtime as runtime
 
         assert sorted(runtime.__all__) == [
@@ -79,8 +92,7 @@ class TestPublicAPI:
             "solve_async",
             "solve_sync",
         ]
-        assert "_solve_one" not in runtime.__all__
-        assert "_solve_one_injected" not in runtime.__all__
+        assert "_solve_unit" not in runtime.__all__
 
     def test_gateway_surface_pinned(self):
         # The gateway's public surface is exactly this; the HTTP
