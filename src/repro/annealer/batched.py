@@ -23,10 +23,10 @@ Why this is exact
   index because a phase's eligible-cluster count never changes within
   a level.
 * Hardware-event accounting is replica-independent (it depends only on
-  the schedule and the level geometry), so one template
-  :class:`~repro.cim.macro.CIMChip` records the events once and is
-  deep-copied per replica — the profiled seam-transfer accounting cost
-  is paid once per batch instead of once per run.
+  the schedule and the level geometry): each replica's own
+  :class:`~repro.cim.macro.CIMChip` is charged once per level in
+  closed form by the serial path's
+  :func:`~repro.annealer.cluster_tsp.record_level_events`.
 
 Batching is gated to configurations whose accept rule is a pure
 function of the integer energies: ``noise_source`` ∈ {``SRAM``,
@@ -42,13 +42,12 @@ batched within each group.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.annealer.cluster_tsp import CYCLES_PER_TRIAL
+from repro.annealer.cluster_tsp import record_level_events
 from repro.annealer.config import AnnealerConfig, NoiseSource, NoiseTarget
 from repro.annealer.engine import ClusterLevelEngine
 from repro.annealer.hierarchical import ClusteredCIMAnnealer
@@ -321,13 +320,13 @@ def _solve_level_batched(
     engines: Sequence[ClusterLevelEngine],
     schedule: VddSchedule,
     level: int,
-    chip: CIMChip,
+    chips: Sequence[CIMChip],
     parallel_update: bool,
 ) -> List[LevelReport]:
     """Batched mirror of :func:`repro.annealer.cluster_tsp.solve_level`.
 
-    Chip events are recorded once (they are replica-independent); wall
-    time is attributed evenly across the replicas.
+    Each replica's chip is charged the level's events; wall time is
+    attributed evenly across the replicas.
     """
     watch = Stopwatch()
     controller = WritebackController(schedule=schedule)
@@ -336,10 +335,9 @@ def _solve_level_batched(
     obj_before = [e.objective() for e in engines]
     kernel = _BatchedLevelKernel(engines, schedule, parallel_update)
     K = kernel.K
-    phase_groups = engines[0].phase_groups()
+    n_phases = len(kernel._phases)
     proposed = np.zeros(R, dtype=np.int64)
     accepted = np.zeros(R, dtype=np.int64)
-    last_lsbs = schedule.weight_bits
 
     for iteration in range(schedule.total_iterations):
         writeback, vdd, lsbs = controller.begin_iteration(iteration)
@@ -347,34 +345,16 @@ def _solve_level_batched(
             for e in engines:
                 e.writeback(vdd, lsbs)
             kernel.restack_weights()
-            bits = schedule.weight_bits if iteration == 0 else last_lsbs
-            chip.record_writeback(n_windows=K, bits_per_weight=bits)
-            last_lsbs = lsbs
-
-        if parallel_update:
-            for phase, group in enumerate(phase_groups):
-                n_prop, n_acc = kernel.run_phase(iteration, phase)
-                proposed += n_prop
-                accepted += n_acc
-                chip.record_phase_cycles(
-                    active_windows=int(group.size),
-                    cycles=CYCLES_PER_TRIAL,
-                    level=level,
-                )
-                chip.record_seam_transfers(phase % 2, cycles=1)
-        else:
-            for c in range(K):
-                n_prop, n_acc = kernel.run_phase(iteration, c)
-                proposed += n_prop
-                accepted += n_acc
-                chip.record_phase_cycles(
-                    active_windows=1, cycles=CYCLES_PER_TRIAL, level=level
-                )
+        for phase in range(n_phases):
+            n_prop, n_acc = kernel.run_phase(iteration, phase)
+            proposed += n_prop
+            accepted += n_acc
 
     controller.validate_complete()
     kernel.finish(proposed, accepted)
     obj_after = [e.objective() for e in engines]
-    chip.record_level_done()
+    for chip in chips:
+        record_level_events(chip, schedule, engines[0], level, parallel_update)
     wall = watch.elapsed_s() / R
     n_items = int(engines[0].sizes.sum())
     return [
@@ -416,11 +396,8 @@ def _solve_group(
 
     hardware_p = cfg0.strategy.hardware_p()
     chip_p = hardware_p or tree.max_level_size()
-    chip = CIMChip(
-        p=chip_p,
-        n_clusters=cfg0.strategy.provisioned_clusters(instance.n),
-        weight_bits=cfg0.weight_bits,
-    )
+    n_clusters = cfg0.strategy.provisioned_clusters(instance.n)
+    chips = [CIMChip(chip_p, n_clusters, cfg0.weight_bits) for _ in range(R)]
     reports: List[List[LevelReport]] = [[] for _ in range(R)]
 
     # ---- top level: order the super-clusters -------------------------
@@ -442,7 +419,7 @@ def _solve_group(
             engines,
             cfg0.schedule,
             level=n_levels,
-            chip=chip,
+            chips=chips,
             parallel_update=cfg0.parallel_update,
         )
         for r in range(R):
@@ -474,7 +451,7 @@ def _solve_group(
             engines,
             cfg0.schedule,
             level=level_idx,
-            chip=chip,
+            chips=chips,
             parallel_update=cfg0.parallel_update,
         )
         for r in range(R):
@@ -495,7 +472,7 @@ def _solve_group(
                 instance=instance,
                 tour=tour,
                 length=tour_length(instance, tour),
-                chip=chip if r == R - 1 else copy.deepcopy(chip),
+                chip=chips[r],
                 levels=reports[r],
                 trace=None,
                 wall_time_s=wall / R,

@@ -10,7 +10,8 @@ paper's update schedule:
   phases in alternating parallel cycles (4 MAC cycles each), or one
   cluster at a time when ``parallel_update`` is off (the sequential
   Gibbs ablation);
-* report every cycle, write-back, and seam transfer to the CIM chip.
+* charge the level's cycles, write-backs, and seam transfers to the
+  CIM chip once, in closed form (:func:`record_level_events`).
 """
 
 from __future__ import annotations
@@ -30,6 +31,36 @@ from repro.sram.writeback import WritebackController
 CYCLES_PER_TRIAL = 4
 
 
+def record_level_events(
+    chip: CIMChip,
+    schedule: VddSchedule,
+    engine: ClusterLevelEngine,
+    level: int,
+    parallel_update: bool,
+) -> None:
+    """Charge one annealed level's hardware events to ``chip``.
+
+    They depend only on the level geometry and the schedule, not on
+    which swaps were accepted, so the totals equal recording every
+    cycle of :func:`solve_level` (windows too small to swap included).
+    """
+    T = schedule.total_iterations
+    cycles = CYCLES_PER_TRIAL * T
+    if parallel_update:
+        # An odd cycle's third group updates in a solid phase.
+        for phase, group in enumerate(engine.phase_groups()):
+            chip.record_phase_cycles(int(group.size), cycles, level)
+            chip.record_seam_transfers(phase % 2, cycles=T)
+    else:
+        chip.record_phase_cycles(1, cycles * engine.K, level)
+    # The first write programs all planes; each refresh rewrites the
+    # planes that were noisy during the previous step.
+    for step in range(schedule.n_steps):
+        bits = schedule.noisy_lsbs(step - 1) if step else schedule.weight_bits
+        chip.record_writeback(n_windows=engine.K, bits_per_weight=bits)
+    chip.record_level_done()
+
+
 def solve_level(
     engine: ClusterLevelEngine,
     schedule: VddSchedule,
@@ -46,53 +77,33 @@ def solve_level(
     controller = WritebackController(schedule=schedule)
     objective_before = engine.objective()
     proposed = accepted = 0
-    last_lsbs = schedule.weight_bits  # initial programming writes all planes
 
     for iteration in range(schedule.total_iterations):
         writeback, vdd, lsbs = controller.begin_iteration(iteration)
         if writeback:
             engine.writeback(vdd, lsbs)
-            if chip is not None:
-                # The first event programs all planes; later refreshes
-                # rewrite only the planes that were noisy last step.
-                bits = schedule.weight_bits if iteration == 0 else last_lsbs
-                chip.record_writeback(
-                    n_windows=engine.K, bits_per_weight=bits
-                )
-            last_lsbs = lsbs
 
         if trace is not None and iteration % trace_every == 0:
             trace.record(level, iteration, engine.objective())
 
         if parallel_update:
-            for phase, group in enumerate(engine.phase_groups()):
+            for group in engine.phase_groups():
                 n_prop, n_acc = engine.run_phase_trials(group)
                 proposed += n_prop
                 accepted += n_acc
-                if chip is not None:
-                    chip.record_phase_cycles(
-                        active_windows=int(group.size),
-                        cycles=CYCLES_PER_TRIAL,
-                        level=level,
-                    )
-                    chip.record_seam_transfers(phase % 2, cycles=1)
         else:
             # Sequential Gibbs: one cluster per 4-cycle trial.
             for c in range(engine.K):
                 n_prop, n_acc = engine.run_phase_trials([c])
                 proposed += n_prop
                 accepted += n_acc
-                if chip is not None:
-                    chip.record_phase_cycles(
-                        active_windows=1, cycles=CYCLES_PER_TRIAL, level=level
-                    )
 
     controller.validate_complete()
     objective_after = engine.objective()
     if trace is not None:
         trace.record(level, schedule.total_iterations, objective_after)
     if chip is not None:
-        chip.record_level_done()
+        record_level_events(chip, schedule, engine, level, parallel_update)
     return LevelReport(
         level=level,
         n_items=int(engine.sizes.sum()),

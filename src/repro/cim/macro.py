@@ -1,10 +1,11 @@
 """The multi-array CIM chip: geometry + hardware-event counters.
 
 :class:`CIMChip` is the accounting spine of the co-evaluation: the
-annealer reports every update cycle, write-back, and seam transfer to
-it, and the PPA models (:mod:`repro.hardware`) turn the tallies into
-time-to-solution and energy-to-solution with read/write breakdowns
-(Fig. 7c/d).
+annealer charges each level's update cycles, write-backs, and seam
+transfers to it once, in closed form (they depend only on the level
+geometry and the schedule), and the PPA models (:mod:`repro.hardware`)
+turn the tallies into time-to-solution and energy-to-solution with
+read/write breakdowns (Fig. 7c/d).
 
 The chip is *counter-only* by design — it never materialises windows —
 so it scales to the pla85900 configuration (4 295 arrays).  Bit-exact

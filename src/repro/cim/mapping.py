@@ -88,12 +88,18 @@ class ClusterWindowMapping:
         return self.slot_of(neighbour)[0] != self.slot_of(cluster)[0]
 
     def transfers_per_phase(self, phase: int) -> int:
-        """Seam crossings (each p bits) during one phase update cycle."""
-        return sum(
-            1
-            for c in self.clusters_in_phase(phase)
-            if self.is_seam_cluster(c, phase)
-        )
+        """Seam crossings (each p bits) during one phase update cycle.
+
+        Arrays hold an even number of windows, so each interior seam is
+        crossed once per phase; on a multi-array chip the cyclic wrap
+        adds one whenever cluster 0 or the last cluster is in the phase.
+        """
+        if phase not in (0, 1):
+            raise CIMError(f"phase must be 0 or 1, got {phase}")
+        if self.n_arrays == 1:
+            return 0
+        wraps = phase == 0 or self.n_clusters % 2 == 0
+        return self.n_arrays - 1 + int(wraps)
 
     def bits_per_transfer(self) -> int:
         """Bits moved per seam crossing (one one-hot element id: p bits)."""

@@ -13,8 +13,8 @@ pla85900 at p_max = 3:
   initial programming rewrite only the previously-noisy LSB planes, so
   the write share of both energy and latency stays small (Fig. 7c/d);
 * **seam transfer** — 10 fJ per bit over short inter-array links, once
-  per swap trial per seam (the boundary spin changes at most once per
-  trial).
+  per phase per seam crossing of the Fig. 5e mapping, ring-closing
+  wrap included (the boundary spin changes at most once per trial).
 
 With these constants the model lands pla85900 / p_max = 3 at ≈0.45 W
 average vs the published 433 mW.  Average power = total dynamic energy
@@ -119,9 +119,10 @@ class EnergyModel:
             * self.tech.energy_scale
         )
 
-        # One p-bit seam transfer per trial per array seam, both phases.
-        seams = max(0, chip.n_arrays - 1)
-        transfer_bits = n_levels * iterations_per_level * 2 * seams * chip.p
+        # One p-bit transfer per seam crossing of each phase (Fig. 5e).
+        mapping = chip.mapping
+        seams = mapping.transfers_per_phase(0) + mapping.transfers_per_phase(1)
+        transfer_bits = n_levels * iterations_per_level * seams * chip.p
         transfer = transfer_bits * TRANSFER_ENERGY_PER_BIT_J * self.tech.energy_scale
         return EnergyReport(
             read_energy_j=read,

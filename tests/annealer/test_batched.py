@@ -37,6 +37,14 @@ def serial_oracle(clustered80):
     return runner.run(clustered80, SEEDS_32, AnnealerConfig())
 
 
+def _assert_same_chip(a, b):
+    """Every chip counter, per-level cycles in insertion order too."""
+    assert a.summary() == b.summary()
+    assert list(a.per_level_cycles.items()) == list(
+        b.per_level_cycles.items()
+    )
+
+
 def _assert_bit_identical(oracle, candidate):
     results_a, tel_a = oracle
     results_b, tel_b = candidate
@@ -44,6 +52,7 @@ def _assert_bit_identical(oracle, candidate):
     for a, b in zip(results_a, results_b):
         assert np.array_equal(a.tour, b.tour)
         assert a.length == b.length  # exact, not approx
+        _assert_same_chip(a.chip, b.chip)
     for x, y in zip(tel_a.runs, tel_b.runs):
         assert x.seed == y.seed
         assert x.ok and y.ok
@@ -100,12 +109,7 @@ class TestSolveBatch:
             a = ClusteredCIMAnnealer(replace(cfg, seed=seed)).solve(
                 clustered80
             )
-            assert a.chip.writeback_events == b.chip.writeback_events
-            assert a.chip.mac_cycles == b.chip.mac_cycles
-            assert a.chip.macs_performed == b.chip.macs_performed
-            assert (
-                a.chip.weight_bits_written == b.chip.weight_bits_written
-            )
+            _assert_same_chip(a.chip, b.chip)
 
     def test_sequential_update_mode_matches_serial(self, clustered80):
         seeds = [320, 321]

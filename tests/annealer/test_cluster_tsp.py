@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro.annealer.cluster_tsp import solve_level
+from repro.annealer.config import AnnealerConfig
 from repro.annealer.engine import ClusterLevelEngine
+from repro.annealer.hierarchical import ClusteredCIMAnnealer
 from repro.annealer.trace import ConvergenceTrace
 from repro.cim.macro import CIMChip
 from repro.ising.schedule import VddSchedule
-from repro.tsp.generators import random_uniform
+from repro.tsp.generators import random_clustered, random_uniform
 
 
 def make_engine(n=24, p=3, seed=0):
@@ -89,3 +91,63 @@ class TestSolveLevel:
             total_before += report.objective_before
             total_after += report.objective_after
         assert total_after < total_before * 0.98
+
+
+def _summary(p, n_clusters, n_arrays, capacity_bits, *counters):
+    names = (
+        "mac_cycles", "macs_performed", "writeback_events",
+        "weights_written", "weight_bits_written", "seam_transfers",
+        "bits_transferred", "levels_processed",
+    )
+    geometry = dict(
+        p=p, n_clusters=n_clusters, n_arrays=n_arrays,
+        capacity_bits=capacity_bits,
+    )
+    return dict(geometry, **dict(zip(names, counters)))
+
+
+#: Full-solve chip counters recorded from the per-iteration accounting
+#: loop: (instance, config, summary(), per_level_cycles in insertion
+#: order).
+CHIP_GOLDENS = {
+    "clustered80": (
+        lambda: random_clustered(80, n_clusters=4, seed=2024),
+        AnnealerConfig(),
+        _summary(3, 40, 4, 43200,
+                 14400, 123200, 40, 83160, 301455, 14400, 43200, 5),
+        [(4, 1600), (3, 3200), (2, 3200), (1, 3200), (0, 3200)],
+    ),
+    "clustered80-sequential": (
+        lambda: random_clustered(80, n_clusters=4, seed=2024),
+        AnnealerConfig(parallel_update=False),
+        _summary(3, 40, 4, 43200,
+                 123200, 123200, 40, 83160, 301455, 0, 0, 5),
+        [(4, 1600), (3, 6400), (2, 16000), (1, 32000), (0, 67200)],
+    ),
+    # Top level orders K = 5 super-clusters: three chromatic groups.
+    # 35 windows (odd) cross 4 seams in solid phases but 3 in dash
+    # phases, so the third group's phase shows in the seam count.
+    "uniform70-odd-top": (
+        lambda: random_uniform(70, seed=0),
+        AnnealerConfig(),
+        _summary(3, 35, 4, 37800,
+                 14400, 75200, 32, 50760, 184005, 13200, 39600, 4),
+        [(3, 1600), (2, 4800), (1, 3200), (0, 4800)],
+    ),
+    "uniform200-multi-array": (
+        lambda: random_uniform(200, seed=7),
+        AnnealerConfig(),
+        _summary(3, 100, 10, 108000,
+                 19200, 230400, 40, 155520, 563760, 48000, 144000, 5),
+        [(4, 1600), (3, 4800), (2, 4800), (1, 3200), (0, 4800)],
+    ),
+}
+
+
+class TestChipCounterGoldens:
+    @pytest.mark.parametrize("case", sorted(CHIP_GOLDENS))
+    def test_full_solve_counters_pinned(self, case):
+        make_instance, config, summary, per_level = CHIP_GOLDENS[case]
+        chip = ClusteredCIMAnnealer(config).solve(make_instance()).chip
+        assert chip.summary() == summary
+        assert list(chip.per_level_cycles.items()) == per_level

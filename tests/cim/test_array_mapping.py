@@ -86,6 +86,17 @@ class TestClusterWindowMapping:
         assert m.transfers_per_phase(1) == 4  # clusters 9, 19, 29, 39
         assert m.bits_per_transfer() == 3
 
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_closed_form_transfers_match_seam_oracle(self, phase):
+        # Odd counts, partial last arrays and a single array included.
+        for n_clusters in range(1, 251):
+            m = ClusterWindowMapping(n_clusters, 3)
+            oracle = sum(
+                m.is_seam_cluster(c, phase)
+                for c in m.clusters_in_phase(phase)
+            )
+            assert m.transfers_per_phase(phase) == oracle, n_clusters
+
     def test_single_array_no_internal_seams(self):
         # All 10 clusters in one array: even the cyclic neighbour is
         # local, so no bits ever cross an array seam.

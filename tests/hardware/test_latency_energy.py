@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.annealer.cluster_tsp import record_level_events
+from repro.annealer.engine import ClusterLevelEngine
 from repro.cim.macro import CIMChip
 from repro.errors import HardwareModelError
 from repro.hardware.energy import EnergyModel
 from repro.hardware.latency import LatencyModel
 from repro.hardware.tech import TechNode
+from repro.ising.schedule import VddSchedule
+from repro.tsp.generators import random_uniform
 
 
 @pytest.fixture
@@ -78,12 +83,11 @@ class TestEnergy:
 
     def test_energy_from_counters_consistent_with_predict(self):
         chip = CIMChip(p=3, n_clusters=40)
-        # Simulate one level's worth of events by hand.
-        for _ in range(400):
-            chip.record_phase_cycles(active_windows=20, cycles=4)
-            chip.record_phase_cycles(active_windows=20, cycles=4)
-        for step, bits in enumerate([8, 6, 5, 4, 3, 2, 1, 0]):
-            chip.record_writeback(bits_per_weight=bits)
+        # One full bottom level's events, charged as the annealer does.
+        points = random_uniform(120, seed=0).coords
+        groups = [np.arange(i, i + 3) for i in range(0, 120, 3)]
+        engine = ClusterLevelEngine(points, groups, p=3, seed=0)
+        record_level_events(chip, VddSchedule(), engine, 0, True)
         measured = EnergyModel().report(chip)
         predicted = EnergyModel().predict(chip, n_levels=1)
         assert measured.read_energy_j == pytest.approx(
@@ -91,6 +95,10 @@ class TestEnergy:
         )
         assert measured.write_energy_j == pytest.approx(
             predicted.write_energy_j, rel=0.01
+        )
+        # 40 clusters: 4 + 4 seam crossings per iteration, wrap included.
+        assert measured.transfer_energy_j == pytest.approx(
+            predicted.transfer_energy_j, rel=1e-12
         )
 
     def test_energy_scale_with_node(self, chip_pla85900):
