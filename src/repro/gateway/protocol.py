@@ -9,12 +9,7 @@ formats can evolve without guessing:
   seeds, backend name, annealer config, runtime options including the
   chaos :class:`~repro.runtime.faults.FaultPlan`), produced by
   :func:`encode_solve_request` and validated strictly by
-  :func:`decode_solve_request`.  The problem payload is a tagged union
-  (:func:`encode_problem`): a TSP instance (``kind: "tsp"``, and the
-  backward-compatible default when the tag is absent — pre-registry
-  payloads decode unchanged), a dense Ising model (``"ising"``), or a
-  Max-Cut graph (``"maxcut"``), each dispatchable to any registered
-  backend that declares the kind;
+  :func:`decode_solve_request`;
 * ``repro.run_telemetry/v1`` — the per-seed stream frame; the SSE
   ``data:`` payload is exactly
   :meth:`repro.runtime.telemetry.RunTelemetry.to_json_line`, parsed
@@ -24,6 +19,23 @@ formats can evolve without guessing:
   final seed-ordered result (:func:`encode_job_result`);
 * ``repro.error/v1`` — every non-2xx response body
   (:func:`error_payload`).
+
+The request's dataclasses (``SolveRequest``, ``EnsembleOptions``,
+``FaultPlan``, ``AnnealerConfig`` and its nested ``VddSchedule`` and
+``SRAMCellParams``) have no hand-written codecs: one :func:`encode` /
+:func:`decode` pair walks :func:`dataclasses.fields` and the resolved
+type hints, so the allowed keys, the type checks and the defaults all
+come from the dataclass, and a new field reaches the wire with no codec
+edit.  Only fields whose wire form really differs are overridden: the
+cluster strategy travels as its Table I label, ``seeds`` is a
+non-empty integer list, ``options: null`` means the default options,
+and ``instance`` is the problem union.  That union is one
+``{kind: (encode, decode)}`` table (:data:`PROBLEM_CODECS`): a TSP
+instance (``kind: "tsp"``, and the backward-compatible default when
+the tag is absent — pre-registry payloads decode unchanged), a dense
+Ising model (``"ising"``), a Max-Cut graph (``"maxcut"``) or a QUBO
+term list (``"qubo"``), each dispatchable to any registered backend
+that declares the kind.
 
 Decoding is *strict*: unknown keys, wrong types, and out-of-range
 values raise :class:`ProtocolError` (mapped to HTTP 400 by the
@@ -35,21 +47,39 @@ break when the server learns new counters.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Mapping, Optional
+import types
+from dataclasses import MISSING, fields, is_dataclass
+from enum import Enum
+from functools import lru_cache
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Mapping,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
 from repro.errors import GatewayError, ReproError
-from repro.runtime.faults import FaultPlan
 from repro.runtime.options import EnsembleOptions, SolveRequest
 from repro.runtime.telemetry import RunTelemetry
 from repro.tsp.instance import TSPInstance
 
 if TYPE_CHECKING:  # import cycle: repro.annealer.batch imports runtime
+    from _typeshed import DataclassInstance
+
     from repro.annealer.batch import EnsembleResult
-    from repro.annealer.config import AnnealerConfig
     from repro.backends.base import ProblemLike
+    from repro.clustering.strategies import ClusterStrategy
     from repro.ising.model import IsingModel
     from repro.maxcut.problem import MaxCutProblem
     from repro.problems.qubo import QUBOProblem
@@ -62,6 +92,8 @@ ERROR_SCHEMA = "repro.error/v1"
 METRICS_SCHEMA = "repro.gateway_metrics/v1"
 END_SCHEMA = "repro.job_end/v1"
 HEALTH_SCHEMA = "repro.health/v1"
+
+T = TypeVar("T", bound="DataclassInstance")
 
 
 class ProtocolError(GatewayError):
@@ -87,56 +119,61 @@ def _reject_unknown(
         raise ProtocolError(f"{what} has unknown fields {unknown}")
 
 
-def _get_str(payload: Mapping[str, Any], key: str, default: str = "") -> str:
-    value = payload.get(key, default)
-    if not isinstance(value, str):
-        raise ProtocolError(f"field {key!r} must be a string")
-    return value
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _get_bool(payload: Mapping[str, Any], key: str, default: bool) -> bool:
-    value = payload.get(key, default)
-    if not isinstance(value, bool):
-        raise ProtocolError(f"field {key!r} must be a boolean")
-    return value
+#: Scalar hint → (which JSON values it takes, its name in errors).
+#: ``int`` rejects ``bool``; ``float`` takes any non-bool number.
+_SCALARS: Dict[Any, Tuple[Callable[[Any], bool], str]] = {
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    int: (_is_int, "an integer"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
 
 
-def _get_int(payload: Mapping[str, Any], key: str, default: int) -> int:
-    value = payload.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(f"field {key!r} must be an integer")
-    return value
+def _checker(hint: Any) -> Callable[[Any, str], Any]:
+    """Compile a resolved type hint into a strict decoder of one JSON
+    value.  ``Optional[X]`` adds ``null``; a nested dataclass recurses
+    through :func:`decode`; a scalar or an ``Enum`` (which travels as
+    its ``.value``) is converted by calling the hint (``float(3)``,
+    ``NoiseSource("sram")``)."""
+    or_null = ""
+    if get_origin(hint) in (Union, types.UnionType):
+        members = [arg for arg in get_args(hint) if arg is not type(None)]
+        if len(members) != 1:
+            raise TypeError(f"no wire form for {hint!r}")
+        hint, or_null = members[0], " or null"
+    if isinstance(hint, type) and is_dataclass(hint):
+        nested = hint
+
+        def check(value: Any, what: str) -> Any:
+            return _decode(nested, value, what, f"{what}.")
+
+    else:
+        if hint in _SCALARS:
+            accepts, noun = _SCALARS[hint]
+        elif isinstance(hint, type) and issubclass(hint, Enum):
+            values = [member.value for member in hint]
+            accepts, noun = (
+                lambda v: any(type(v) is type(x) and v == x for x in values)
+            ), f"one of {values}"
+        else:
+            raise TypeError(f"no wire form for {hint!r}")
+
+        def check(value: Any, what: str) -> Any:
+            if accepts(value):
+                return hint(value)
+            raise ProtocolError(f"{what} must be {noun}{or_null}")
+
+    if not or_null:
+        return check
+    return lambda value, what: None if value is None else check(value, what)
 
 
-def _get_float(
-    payload: Mapping[str, Any], key: str, default: float
-) -> float:
-    value = payload.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"field {key!r} must be a number")
-    return float(value)
-
-
-def _get_opt_int(
-    payload: Mapping[str, Any], key: str, default: Optional[int]
-) -> Optional[int]:
-    value = payload.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(f"field {key!r} must be an integer or null")
-    return value
-
-
-def _get_opt_float(
-    payload: Mapping[str, Any], key: str, default: Optional[float]
-) -> Optional[float]:
-    value = payload.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"field {key!r} must be a number or null")
-    return float(value)
+_as_str = _checker(str)
+_as_int = _checker(int)
 
 
 # ----------------------------------------------------------------------
@@ -171,9 +208,12 @@ def decode_instance(payload: Any) -> TSPInstance:
     try:
         return TSPInstance(
             coords=arr,
-            name=_get_str(payload, "name", "unnamed"),
-            comment=_get_str(payload, "comment", ""),
-            edge_weight_type=_get_str(payload, "edge_weight_type", "GEOM"),
+            name=_as_str(payload.get("name", "unnamed"), "instance.name"),
+            comment=_as_str(payload.get("comment", ""), "instance.comment"),
+            edge_weight_type=_as_str(
+                payload.get("edge_weight_type", "GEOM"),
+                "instance.edge_weight_type",
+            ),
         )
     except ReproError as exc:
         raise ProtocolError(f"invalid instance: {exc}") from exc
@@ -216,10 +256,11 @@ def decode_ising_model(payload: Mapping[str, Any]) -> "IsingModel":
         )
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"instance payload not numeric: {exc}") from exc
+    convention = _as_str(
+        payload.get("convention", "pm1"), "instance.convention"
+    )
     try:
-        return IsingModel(
-            j, field=h, convention=_get_str(payload, "convention", "pm1")
-        )
+        return IsingModel(j, field=h, convention=convention)
     except ReproError as exc:
         raise ProtocolError(f"invalid ising model: {exc}") from exc
 
@@ -236,27 +277,32 @@ def encode_maxcut_problem(problem: "MaxCutProblem") -> Dict[str, Any]:
 
 
 def decode_maxcut_problem(payload: Mapping[str, Any]) -> "MaxCutProblem":
-    """Rebuild a :class:`MaxCutProblem`; strict about shape and types."""
+    """Rebuild a :class:`MaxCutProblem`; strict about shape and types.
+
+    Endpoints must be JSON integers: ``[0.7, 1.9]`` is rejected, not
+    truncated to edge ``(0, 1)``.
+    """
     from repro.maxcut.problem import MaxCutProblem
 
     _reject_unknown(payload, _MAXCUT_FIELDS, "instance")
     edges = payload.get("edges")
     if not isinstance(edges, list) or any(
-        not isinstance(e, list) or len(e) != 2 for e in edges
+        not isinstance(e, list) or len(e) != 2 or not all(map(_is_int, e))
+        for e in edges
     ):
-        raise ProtocolError("instance.edges must be a list of [u, v] pairs")
+        raise ProtocolError(
+            "instance.edges must be a list of [u, v] integer pairs"
+        )
     weights = payload.get("weights")
     try:
         w = None if weights is None else np.asarray(weights, dtype=np.float64)
-        pairs = [(int(u), int(v)) for u, v in edges]
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"instance payload not numeric: {exc}") from exc
+    n_nodes = _as_int(payload.get("n_nodes", 0), "instance.n_nodes")
+    name = _as_str(payload.get("name", "maxcut"), "instance.name")
     try:
         return MaxCutProblem(
-            _get_int(payload, "n_nodes", 0),
-            pairs,
-            weights=w,
-            name=_get_str(payload, "name", "maxcut"),
+            n_nodes, np.asarray(edges, dtype=np.int64), weights=w, name=name
         )
     except ReproError as exc:
         raise ProtocolError(f"invalid maxcut problem: {exc}") from exc
@@ -291,12 +337,35 @@ def decode_qubo_problem(payload: Mapping[str, Any]) -> "QUBOProblem":
         "n_vars": payload.get("n_vars"),
         "terms": payload.get("terms"),
         "offset": payload.get("offset", 0.0),
-        "name": _get_str(payload, "name", "qubo"),
+        "name": _as_str(payload.get("name", "qubo"), "instance.name"),
     }
     try:
         return qubo_from_dict(doc)
     except ReproError as exc:
         raise ProtocolError(f"invalid qubo problem: {exc}") from exc
+
+
+def _encode_tsp(instance: TSPInstance) -> Dict[str, Any]:
+    return {"kind": "tsp", **encode_instance(instance)}
+
+
+def _decode_tsp(payload: Mapping[str, Any]) -> TSPInstance:
+    return decode_instance(
+        {key: value for key, value in payload.items() if key != "kind"}
+    )
+
+
+#: The problem union on the wire: ``kind`` tag → (encode, decode).
+#: Keys are :func:`repro.backends.problem_kind` values; a new problem
+#: type needs exactly one entry here.
+PROBLEM_CODECS: Dict[
+    str, Tuple[Callable[[Any], Dict[str, Any]], Callable[[Any], Any]]
+] = {
+    "tsp": (_encode_tsp, _decode_tsp),
+    "ising": (encode_ising_model, decode_ising_model),
+    "maxcut": (encode_maxcut_problem, decode_maxcut_problem),
+    "qubo": (encode_qubo_problem, decode_qubo_problem),
+}
 
 
 def encode_problem(problem: "ProblemLike") -> Dict[str, Any]:
@@ -306,17 +375,9 @@ def encode_problem(problem: "ProblemLike") -> Dict[str, Any]:
     instances keep their original field layout (plus the tag), so
     pre-registry clients and recorded payloads stay compatible.
     """
-    from repro.ising.model import IsingModel
-    from repro.maxcut.problem import MaxCutProblem
-    from repro.problems.qubo import QUBOProblem
+    from repro.backends import problem_kind
 
-    if isinstance(problem, IsingModel):
-        return encode_ising_model(problem)
-    if isinstance(problem, MaxCutProblem):
-        return encode_maxcut_problem(problem)
-    if isinstance(problem, QUBOProblem):
-        return encode_qubo_problem(problem)
-    return {"kind": "tsp", **encode_instance(problem)}
+    return PROBLEM_CODECS[problem_kind(problem)][0](problem)
 
 
 def decode_problem(payload: Any) -> "ProblemLike":
@@ -328,305 +389,149 @@ def decode_problem(payload: Any) -> "ProblemLike":
     cluster-CIM backend).
     """
     payload = _require_mapping(payload, "instance")
-    kind = _get_str(payload, "kind", "tsp")
-    if kind == "ising":
-        return decode_ising_model(payload)
-    if kind == "maxcut":
-        return decode_maxcut_problem(payload)
-    if kind == "qubo":
-        return decode_qubo_problem(payload)
-    if kind != "tsp":
+    kind = _as_str(payload.get("kind", "tsp"), "instance.kind")
+    if kind not in PROBLEM_CODECS:
         raise ProtocolError(f"unknown problem kind {kind!r}")
-    return decode_instance(
-        {key: value for key, value in payload.items() if key != "kind"}
-    )
+    return PROBLEM_CODECS[kind][1](payload)
 
 
 # ----------------------------------------------------------------------
-# Annealer config
+# The dataclass codec
 # ----------------------------------------------------------------------
-_CONFIG_FIELDS = frozenset(
-    {
-        "strategy",
-        "schedule",
-        "top_size",
-        "weight_bits",
-        "cell_params",
-        "noise_source",
-        "noise_target",
-        "parallel_update",
-        "seed",
-        "record_trace",
-        "trace_every",
-    }
-)
-
-
-def encode_config(config: "AnnealerConfig") -> Dict[str, Any]:
-    """JSON view of an :class:`AnnealerConfig`.
-
-    The cluster strategy travels as its Table I label (``"1/2/3"``,
-    ``"4"``, ``"arbitrary"``) — the same form the CLI accepts — so the
-    wire never carries arbitrary pickled objects.
-    """
+def _strategy_label(strategy: Union["ClusterStrategy", str]) -> str:
+    """The cluster strategy as its Table I label (``"1/2/3"``, ``"4"``,
+    ``"arbitrary"``) — the form the CLI accepts — so the wire never
+    carries arbitrary pickled objects."""
     from repro.clustering.strategies import ClusterStrategy
 
-    strategy = config.strategy
-    label = (
-        strategy.name if isinstance(strategy, ClusterStrategy) else str(strategy)
-    )
-    return {
-        "strategy": label,
-        "schedule": asdict(config.schedule),
-        "top_size": config.top_size,
-        "weight_bits": config.weight_bits,
-        "cell_params": asdict(config.cell_params),
-        "noise_source": config.noise_source.value,
-        "noise_target": config.noise_target.value,
-        "parallel_update": config.parallel_update,
-        "seed": config.seed,
-        "record_trace": config.record_trace,
-        "trace_every": config.trace_every,
-    }
+    if isinstance(strategy, ClusterStrategy):
+        return strategy.name
+    return str(strategy)
 
 
-def decode_config(payload: Any) -> "AnnealerConfig":
-    """Rebuild an :class:`AnnealerConfig` from its wire form."""
+def _decode_seeds(value: Any, what: str) -> Tuple[int, ...]:
+    if (
+        not isinstance(value, list)
+        or not value
+        or not all(map(_is_int, value))
+    ):
+        raise ProtocolError(f"{what!r} must be a non-empty list of integers")
+    return tuple(value)
+
+
+def _decode_options(value: Any, what: str) -> EnsembleOptions:
+    if value is None:
+        return EnsembleOptions()
+    return decode(EnsembleOptions, value, what)
+
+
+#: Fields whose wire form is not the generic walk of their type hint,
+#: keyed by (dataclass name, field name).
+_FIELD_ENCODERS: Dict[Tuple[str, str], Callable[[Any], Any]] = {
+    ("AnnealerConfig", "strategy"): _strategy_label,
+    ("SolveRequest", "instance"): encode_problem,
+}
+_FIELD_DECODERS: Dict[Tuple[str, str], Callable[[Any, str], Any]] = {
+    ("AnnealerConfig", "strategy"): _as_str,
+    ("SolveRequest", "instance"): lambda value, what: decode_problem(value),
+    ("SolveRequest", "seeds"): _decode_seeds,
+    ("SolveRequest", "options"): _decode_options,
+}
+
+
+#: One decoded field: name, whether the payload must carry it, and its
+#: value decoder (an override or the compiled type hint).
+_FieldSpec = Tuple[str, bool, Callable[[Any, str], Any]]
+
+
+@lru_cache(maxsize=None)
+def _wire_fields(
+    cls: Type["DataclassInstance"],
+) -> Tuple[FrozenSet[str], Tuple[_FieldSpec, ...]]:
+    """The allowed keys and field decoders of a wire dataclass, built
+    once per class from its fields and resolved type hints.
+
+    ``SolveRequest`` names ``AnnealerConfig`` and ``ProblemLike`` only
+    under ``TYPE_CHECKING``, so they are supplied here: the config class
+    imported late, the union as a placeholder, since ``instance`` always
+    goes through :data:`PROBLEM_CODECS` and never through its hint.
+    """
     from repro.annealer.config import AnnealerConfig
-    from repro.ising.schedule import VddSchedule
-    from repro.sram.cell import SRAMCellParams
 
-    payload = _require_mapping(payload, "config")
-    _reject_unknown(payload, _CONFIG_FIELDS, "config")
-    defaults = AnnealerConfig()
-    try:
-        schedule = defaults.schedule
-        if "schedule" in payload:
-            sched = _require_mapping(payload["schedule"], "config.schedule")
-            _reject_unknown(
-                sched,
-                frozenset(asdict(defaults.schedule)),
-                "config.schedule",
-            )
-            schedule = VddSchedule(**{**asdict(defaults.schedule), **sched})
-        cell_params = defaults.cell_params
-        if "cell_params" in payload:
-            cp = _require_mapping(payload["cell_params"], "config.cell_params")
-            _reject_unknown(
-                cp,
-                frozenset(asdict(defaults.cell_params)),
-                "config.cell_params",
-            )
-            cell_params = SRAMCellParams(
-                **{**asdict(defaults.cell_params), **cp}
-            )
-        return AnnealerConfig(
-            strategy=_get_str(payload, "strategy", "1/2/3"),
-            schedule=schedule,
-            top_size=_get_int(payload, "top_size", defaults.top_size),
-            weight_bits=_get_int(
-                payload, "weight_bits", defaults.weight_bits
-            ),
-            cell_params=cell_params,
-            noise_source=_get_str(
-                payload, "noise_source", defaults.noise_source.value
-            ),
-            noise_target=_get_str(
-                payload, "noise_target", defaults.noise_target.value
-            ),
-            parallel_update=_get_bool(
-                payload, "parallel_update", defaults.parallel_update
-            ),
-            seed=_get_int(payload, "seed", defaults.seed),
-            record_trace=_get_bool(
-                payload, "record_trace", defaults.record_trace
-            ),
-            trace_every=_get_int(
-                payload, "trace_every", defaults.trace_every
-            ),
+    hints = get_type_hints(
+        cls, localns={"AnnealerConfig": AnnealerConfig, "ProblemLike": object}
+    )
+    specs = tuple(
+        (
+            f.name,
+            f.default is MISSING and f.default_factory is MISSING,
+            _FIELD_DECODERS.get((cls.__name__, f.name))
+            or _checker(hints[f.name]),
         )
-    except ProtocolError:
-        raise
+        for f in fields(cls)
+    )
+    return frozenset(name for name, _, _ in specs), specs
+
+
+def encode(value: Any) -> Any:
+    """JSON view of a wire value: a dataclass becomes an object keyed by
+    its fields in declaration order, an enum its ``.value``, a tuple a
+    list; JSON-native values pass through."""
+    if is_dataclass(value) and not isinstance(value, type):
+        name = type(value).__name__
+        out: Dict[str, Any] = {}
+        for f in fields(value):
+            encoder = _FIELD_ENCODERS.get((name, f.name), encode)
+            out[f.name] = encoder(getattr(value, f.name))
+        return out
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [encode(item) for item in value]
+    return value
+
+
+def decode(cls: Type[T], payload: Any, what: str) -> T:
+    """Rebuild the dataclass ``cls`` from its wire object.
+
+    Allowed keys, value types and defaults come from the dataclass:
+    unknown keys are rejected, missing ones fall back to the field
+    defaults, and a validation error raised by the constructor becomes
+    ``ProtocolError("invalid <what>: …")``.
+    """
+    return _decode(cls, payload, what, f"{what}.")
+
+
+def _decode(cls: Type[T], payload: Any, what: str, prefix: str) -> T:
+    payload = _require_mapping(payload, what)
+    allowed, specs = _wire_fields(cls)
+    _reject_unknown(payload, allowed, what)
+    kwargs: Dict[str, Any] = {}
+    for name, required, decode_value in specs:
+        if name in payload:
+            kwargs[name] = decode_value(payload[name], prefix + name)
+        elif required:
+            raise ProtocolError(f"{what} is missing {name!r}")
+    try:
+        return cls(**kwargs)
     except (ReproError, ValueError, TypeError) as exc:
-        raise ProtocolError(f"invalid config: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Runtime options (incl. the chaos plan)
-# ----------------------------------------------------------------------
-_PLAN_FIELDS = frozenset(
-    {
-        "seed",
-        "crash_rate",
-        "hang_rate",
-        "corrupt_rate",
-        "broken_pool_rate",
-        "hang_s",
-        "max_faults_per_run",
-    }
-)
-_OPTIONS_FIELDS = frozenset(
-    {
-        "max_workers",
-        "timeout_s",
-        "max_retries",
-        "chunk_size",
-        "strict",
-        "max_inflight_per_job",
-        "max_pending_jobs",
-        "backoff_base_s",
-        "backoff_cap_s",
-        "self_heal_budget",
-        "breaker_threshold",
-        "fault_plan",
-        "batch_size",
-    }
-)
-
-
-def encode_fault_plan(plan: Optional[FaultPlan]) -> Optional[Dict[str, Any]]:
-    """JSON view of a chaos :class:`FaultPlan` (None passes through)."""
-    return None if plan is None else asdict(plan)
-
-
-def decode_fault_plan(payload: Any) -> Optional[FaultPlan]:
-    """Rebuild a :class:`FaultPlan`; null means no chaos."""
-    if payload is None:
-        return None
-    payload = _require_mapping(payload, "options.fault_plan")
-    _reject_unknown(payload, _PLAN_FIELDS, "options.fault_plan")
-    defaults = FaultPlan()
-    try:
-        return FaultPlan(
-            seed=_get_int(payload, "seed", defaults.seed),
-            crash_rate=_get_float(
-                payload, "crash_rate", defaults.crash_rate
-            ),
-            hang_rate=_get_float(payload, "hang_rate", defaults.hang_rate),
-            corrupt_rate=_get_float(
-                payload, "corrupt_rate", defaults.corrupt_rate
-            ),
-            broken_pool_rate=_get_float(
-                payload, "broken_pool_rate", defaults.broken_pool_rate
-            ),
-            hang_s=_get_float(payload, "hang_s", defaults.hang_s),
-            max_faults_per_run=_get_int(
-                payload, "max_faults_per_run", defaults.max_faults_per_run
-            ),
-        )
-    except ReproError as exc:
-        raise ProtocolError(f"invalid fault_plan: {exc}") from exc
-
-
-def encode_options(options: EnsembleOptions) -> Dict[str, Any]:
-    """JSON view of :class:`EnsembleOptions`."""
-    return {
-        "max_workers": options.max_workers,
-        "timeout_s": options.timeout_s,
-        "max_retries": options.max_retries,
-        "chunk_size": options.chunk_size,
-        "strict": options.strict,
-        "max_inflight_per_job": options.max_inflight_per_job,
-        "max_pending_jobs": options.max_pending_jobs,
-        "backoff_base_s": options.backoff_base_s,
-        "backoff_cap_s": options.backoff_cap_s,
-        "self_heal_budget": options.self_heal_budget,
-        "breaker_threshold": options.breaker_threshold,
-        "fault_plan": encode_fault_plan(options.fault_plan),
-        "batch_size": options.batch_size,
-    }
-
-
-def decode_options(payload: Any) -> EnsembleOptions:
-    """Rebuild :class:`EnsembleOptions`; validation errors are 400s."""
-    payload = _require_mapping(payload, "options")
-    _reject_unknown(payload, _OPTIONS_FIELDS, "options")
-    defaults = EnsembleOptions()
-    try:
-        return EnsembleOptions(
-            max_workers=_get_int(
-                payload, "max_workers", defaults.max_workers
-            ),
-            timeout_s=_get_opt_float(
-                payload, "timeout_s", defaults.timeout_s
-            ),
-            max_retries=_get_int(
-                payload, "max_retries", defaults.max_retries
-            ),
-            chunk_size=_get_opt_int(
-                payload, "chunk_size", defaults.chunk_size
-            ),
-            strict=_get_bool(payload, "strict", defaults.strict),
-            max_inflight_per_job=_get_opt_int(
-                payload, "max_inflight_per_job", defaults.max_inflight_per_job
-            ),
-            max_pending_jobs=_get_int(
-                payload, "max_pending_jobs", defaults.max_pending_jobs
-            ),
-            backoff_base_s=_get_float(
-                payload, "backoff_base_s", defaults.backoff_base_s
-            ),
-            backoff_cap_s=_get_float(
-                payload, "backoff_cap_s", defaults.backoff_cap_s
-            ),
-            self_heal_budget=_get_int(
-                payload, "self_heal_budget", defaults.self_heal_budget
-            ),
-            breaker_threshold=_get_opt_int(
-                payload, "breaker_threshold", defaults.breaker_threshold
-            ),
-            fault_plan=decode_fault_plan(payload.get("fault_plan")),
-            batch_size=_get_int(
-                payload, "batch_size", defaults.batch_size
-            ),
-        )
-    except ProtocolError:
-        raise
-    except ReproError as exc:
-        raise ProtocolError(f"invalid options: {exc}") from exc
+        raise ProtocolError(f"invalid {what}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
 # SolveRequest — the unit of work on the wire
 # ----------------------------------------------------------------------
-_REQUEST_FIELDS = frozenset(
-    {
-        "schema",
-        "instance",
-        "seeds",
-        "config",
-        "reference",
-        "options",
-        "tag",
-        "backend",
-        "deadline_s",
-    }
-)
-
-
 def encode_solve_request(request: SolveRequest) -> Dict[str, Any]:
     """Serialize a :class:`SolveRequest` to its ``repro.solve_request/v1``
     wire form (pure JSON-native values, no pickles)."""
-    return {
-        "schema": REQUEST_SCHEMA,
-        "instance": encode_problem(request.instance),
-        "seeds": [int(s) for s in request.seeds],
-        "config": (
-            None if request.config is None else encode_config(request.config)
-        ),
-        "reference": request.reference,
-        "options": encode_options(request.options),
-        "tag": request.tag,
-        "backend": request.backend,
-        "deadline_s": request.deadline_s,
-    }
+    return {"schema": REQUEST_SCHEMA, **encode(request)}
 
 
 def decode_solve_request(payload: Any) -> SolveRequest:
     """Parse and validate a ``repro.solve_request/v1`` body.
 
     Strict: the schema tag must match, unknown fields are rejected,
-    and every nested object is validated by its own decoder.  All
+    and every nested object is validated against its dataclass.  All
     failures raise :class:`ProtocolError` (the server's 400 path).
     """
     payload = _require_mapping(payload, "solve request")
@@ -635,40 +540,8 @@ def decode_solve_request(payload: Any) -> SolveRequest:
         raise ProtocolError(
             f"expected schema {REQUEST_SCHEMA!r}, got {schema!r}"
         )
-    _reject_unknown(payload, _REQUEST_FIELDS, "solve request")
-    if "instance" not in payload:
-        raise ProtocolError("solve request is missing 'instance'")
-    seeds = payload.get("seeds")
-    if (
-        not isinstance(seeds, list)
-        or not seeds
-        or any(isinstance(s, bool) or not isinstance(s, int) for s in seeds)
-    ):
-        raise ProtocolError("'seeds' must be a non-empty list of integers")
-    instance = decode_problem(payload["instance"])
-    config = (
-        None
-        if payload.get("config") is None
-        else decode_config(payload["config"])
-    )
-    options = (
-        EnsembleOptions()
-        if payload.get("options") is None
-        else decode_options(payload["options"])
-    )
-    try:
-        return SolveRequest.build(
-            instance,
-            seeds,
-            config=config,
-            reference=_get_opt_float(payload, "reference", None),
-            options=options,
-            tag=_get_str(payload, "tag", ""),
-            backend=_get_str(payload, "backend", "cluster-cim"),
-            deadline_s=_get_opt_float(payload, "deadline_s", None),
-        )
-    except ReproError as exc:
-        raise ProtocolError(f"invalid solve request: {exc}") from exc
+    body = {key: value for key, value in payload.items() if key != "schema"}
+    return _decode(SolveRequest, body, "solve request", "")
 
 
 # ----------------------------------------------------------------------

@@ -2,35 +2,270 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from typing import ForwardRef, get_args
 
 import numpy as np
 import pytest
 
 from repro.annealer.config import AnnealerConfig, NoiseSource, NoiseTarget
+from repro.backends.base import ProblemLike, problem_kind
 from repro.gateway.protocol import (
+    PROBLEM_CODECS,
     REQUEST_SCHEMA,
     ProtocolError,
-    decode_fault_plan,
-    decode_options,
+    decode,
     decode_solve_request,
-    encode_fault_plan,
-    encode_options,
+    encode,
     encode_solve_request,
     error_payload,
     job_payload,
     parse_telemetry_frame,
 )
+from repro.ising.model import IsingModel
 from repro.ising.schedule import VddSchedule
+from repro.maxcut.problem import MaxCutProblem
+from repro.problems.qubo import QUBOProblem
 from repro.runtime.faults import FaultPlan
 from repro.runtime.options import EnsembleOptions, SolveRequest
 from repro.runtime.telemetry import RunTelemetry
 from repro.sram.cell import SRAMCellParams
+from repro.tsp.instance import TSPInstance
 
 
 def wire_round_trip(request: SolveRequest) -> SolveRequest:
     """Encode → JSON text → decode, exactly like the HTTP path."""
     return decode_solve_request(json.loads(json.dumps(encode_solve_request(request))))
+
+
+# ----------------------------------------------------------------------
+# Golden wire pins: the exact ``json.dumps`` text of encoded requests,
+# key order included.  Recorded from the hand-written codecs, before the
+# codec was derived from the dataclasses; any byte of drift fails here.
+# ----------------------------------------------------------------------
+PIN_TSP = (
+    '{"schema": "repro.solve_request/v1", "instance": {"kind": "tsp", '
+    '"name": "pin5", "comment": "golden wire pin", "edge_weight_type": '
+    '"EUC_2D", "coords": [[0.0, 0.0], [3.0, 0.5], [2.5, 4.0], [-1.0, '
+    '2.0], [0.5, -1.5]]}, "seeds": [3, 1, 4], "config": {"strategy": '
+    '"4", "schedule": {"vdd_start_mv": 320.0, "vdd_end_mv": 560.0, '
+    '"vdd_step_mv": 30.0, "iterations_per_step": 25, '
+    '"total_iterations": 150, "noisy_lsbs_start": 5, "weight_bits": 6, '
+    '"lsb_countdown": false}, "top_size": 6, "weight_bits": 6, '
+    '"cell_params": {"v50_mv": 310.0, "sigma_v_mv": 42.5, '
+    '"bl_cap_ratio": 1.5}, "noise_source": "lfsr", "noise_target": '
+    '"spins", "parallel_update": false, "seed": 11, "record_trace": '
+    'true, "trace_every": 7}, "reference": 17.25, "options": '
+    '{"max_workers": 2, "timeout_s": 30.0, "max_retries": 3, '
+    '"chunk_size": 4, "strict": true, "max_inflight_per_job": 3, '
+    '"max_pending_jobs": 9, "backoff_base_s": 0.01, "backoff_cap_s": '
+    '0.25, "self_heal_budget": 1, "breaker_threshold": null, '
+    '"fault_plan": {"seed": 5, "crash_rate": 0.1, "hang_rate": 0.05, '
+    '"corrupt_rate": 0.02, "broken_pool_rate": 0.01, "hang_s": 0.75, '
+    '"max_faults_per_run": 2}, "batch_size": 2}, "tag": "golden", '
+    '"backend": "cluster-cim", "deadline_s": 45.5}'
+)
+
+PIN_ISING = (
+    '{"schema": "repro.solve_request/v1", "instance": {"kind": '
+    '"ising", "couplings": [[0.0, 1.0, -0.5], [1.0, 0.0, 2.0], [-0.5, '
+    '2.0, 0.0]], "field": [0.5, -0.25, 0.0], "convention": "01"}, '
+    '"seeds": [1, 2], "config": null, "reference": null, "options": '
+    '{"max_workers": 1, "timeout_s": null, "max_retries": 1, '
+    '"chunk_size": null, "strict": false, "max_inflight_per_job": '
+    'null, "max_pending_jobs": 16, "backoff_base_s": 0.05, '
+    '"backoff_cap_s": 1.0, "self_heal_budget": 2, "breaker_threshold": '
+    '8, "fault_plan": null, "batch_size": 1}, "tag": "", "backend": '
+    '"simcim", "deadline_s": null}'
+)
+
+PIN_MAXCUT = (
+    '{"schema": "repro.solve_request/v1", "instance": {"kind": '
+    '"maxcut", "n_nodes": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, '
+    '3]], "weights": [1.0, 1.5, 2.0, 0.5], "name": "square"}, "seeds": '
+    '[2], "config": null, "reference": null, "options": '
+    '{"max_workers": 1, "timeout_s": null, "max_retries": 1, '
+    '"chunk_size": null, "strict": false, "max_inflight_per_job": '
+    'null, "max_pending_jobs": 16, "backoff_base_s": 0.05, '
+    '"backoff_cap_s": 1.0, "self_heal_budget": 2, "breaker_threshold": '
+    '8, "fault_plan": null, "batch_size": 1}, "tag": "", "backend": '
+    '"maxcut-sb", "deadline_s": null}'
+)
+
+PIN_QUBO = (
+    '{"schema": "repro.solve_request/v1", "instance": {"kind": "qubo", '
+    '"n_vars": 3, "terms": [[0, 0, -1.0], [0, 1, 2.0], [1, 2, -0.5], '
+    '[2, 2, 0.25]], "offset": 1.5, "name": "tri"}, "seeds": [7, 8], '
+    '"config": null, "reference": null, "options": {"max_workers": 1, '
+    '"timeout_s": null, "max_retries": 1, "chunk_size": null, '
+    '"strict": false, "max_inflight_per_job": null, '
+    '"max_pending_jobs": 16, "backoff_base_s": 0.05, "backoff_cap_s": '
+    '1.0, "self_heal_budget": 2, "breaker_threshold": 8, "fault_plan": '
+    'null, "batch_size": 1}, "tag": "", "backend": "dense-ising", '
+    '"deadline_s": null}'
+)
+
+PIN_LEGACY = (
+    '{"schema": "repro.solve_request/v1", "instance": {"kind": "tsp", '
+    '"name": "tri3", "comment": "", "edge_weight_type": "GEOM", '
+    '"coords": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]}, "seeds": [5, 6], '
+    '"config": null, "reference": null, "options": {"max_workers": 1, '
+    '"timeout_s": null, "max_retries": 1, "chunk_size": null, '
+    '"strict": false, "max_inflight_per_job": null, '
+    '"max_pending_jobs": 16, "backoff_base_s": 0.05, "backoff_cap_s": '
+    '1.0, "self_heal_budget": 2, "breaker_threshold": 8, "fault_plan": '
+    'null, "batch_size": 1}, "tag": "legacy", "backend": '
+    '"cluster-cim", "deadline_s": null}'
+)
+
+PIN_LEGACY_DOC = (
+    '{"schema": "repro.solve_request/v1", "instance": {"name": "tri3", '
+    '"comment": "", "edge_weight_type": "GEOM", "coords": [[0.0, 0.0], '
+    '[1.0, 0.0], [1.0, 1.0]]}, "seeds": [5, 6], "tag": "legacy"}'
+)
+
+
+def _golden_tsp_request() -> SolveRequest:
+    instance = TSPInstance(
+        coords=np.array(
+            [[0.0, 0.0], [3.0, 0.5], [2.5, 4.0], [-1.0, 2.0], [0.5, -1.5]]
+        ),
+        name="pin5",
+        comment="golden wire pin",
+        edge_weight_type="EUC_2D",
+    )
+    config = AnnealerConfig(
+        strategy="4",
+        schedule=VddSchedule(
+            vdd_start_mv=320.0,
+            vdd_end_mv=560.0,
+            vdd_step_mv=30.0,
+            iterations_per_step=25,
+            total_iterations=150,
+            noisy_lsbs_start=5,
+            weight_bits=6,
+            lsb_countdown=False,
+        ),
+        top_size=6,
+        weight_bits=6,
+        cell_params=SRAMCellParams(
+            v50_mv=310.0, sigma_v_mv=42.5, bl_cap_ratio=1.5
+        ),
+        noise_source=NoiseSource.LFSR,
+        noise_target=NoiseTarget.SPINS,
+        parallel_update=False,
+        seed=11,
+        record_trace=True,
+        trace_every=7,
+    )
+    options = EnsembleOptions(
+        max_workers=2,
+        timeout_s=30.0,
+        max_retries=3,
+        chunk_size=4,
+        strict=True,
+        max_inflight_per_job=3,
+        max_pending_jobs=9,
+        backoff_base_s=0.01,
+        backoff_cap_s=0.25,
+        self_heal_budget=1,
+        breaker_threshold=None,
+        fault_plan=FaultPlan(
+            seed=5,
+            crash_rate=0.1,
+            hang_rate=0.05,
+            corrupt_rate=0.02,
+            broken_pool_rate=0.01,
+            hang_s=0.75,
+            max_faults_per_run=2,
+        ),
+        batch_size=2,
+    )
+    return SolveRequest.build(
+        instance,
+        [3, 1, 4],
+        config=config,
+        reference=17.25,
+        options=options,
+        tag="golden",
+        deadline_s=45.5,
+    )
+
+
+def _golden_ising_request() -> SolveRequest:
+    model = IsingModel(
+        np.array([[0.0, 1.0, -0.5], [1.0, 0.0, 2.0], [-0.5, 2.0, 0.0]]),
+        field=np.array([0.5, -0.25, 0.0]),
+        convention="01",
+    )
+    return SolveRequest.build(model, [1, 2], backend="simcim")
+
+
+def _golden_maxcut_request() -> SolveRequest:
+    problem = MaxCutProblem(
+        4,
+        np.array([[0, 1], [1, 2], [2, 3], [0, 3]]),
+        weights=np.array([1.0, 2.0, 0.5, 1.5]),
+        name="square",
+    )
+    return SolveRequest.build(problem, [2], backend="maxcut-sb")
+
+
+def _golden_qubo_request() -> SolveRequest:
+    qubo = QUBOProblem.from_terms(
+        3,
+        [(0, 0, -1.0), (0, 1, 2.0), (1, 2, -0.5), (2, 2, 0.25)],
+        offset=1.5,
+        name="tri",
+    )
+    return SolveRequest.build(qubo, [7, 8], backend="dense-ising")
+
+
+def _golden_legacy_request() -> SolveRequest:
+    instance = TSPInstance(
+        coords=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
+        name="tri3",
+    )
+    return SolveRequest.build(instance, [5, 6], tag="legacy")
+
+
+GOLDEN = {
+    "tsp": (_golden_tsp_request, PIN_TSP),
+    "ising": (_golden_ising_request, PIN_ISING),
+    "maxcut": (_golden_maxcut_request, PIN_MAXCUT),
+    "qubo": (_golden_qubo_request, PIN_QUBO),
+    "legacy": (_golden_legacy_request, PIN_LEGACY),
+}
+
+
+class TestGoldenWire:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_encoding_is_byte_identical(self, name):
+        build, pin = GOLDEN[name]
+        assert json.dumps(encode_solve_request(build())) == pin
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_pin_decodes_and_re_encodes_identically(self, name):
+        _, pin = GOLDEN[name]
+        back = decode_solve_request(json.loads(pin))
+        assert json.dumps(encode_solve_request(back)) == pin
+
+    def test_pre_registry_document_decodes_to_its_request(self):
+        # No instance "kind", no "backend" and only the fields an early
+        # client sent: it must decode to the pinned default-backend request.
+        doc = json.loads(PIN_LEGACY_DOC)
+        assert "kind" not in doc["instance"] and "backend" not in doc
+        back = decode_solve_request(doc)
+        assert json.dumps(encode_solve_request(back)) == PIN_LEGACY
+        expected = _golden_legacy_request()
+        assert back.seeds == expected.seeds
+        assert back.tag == expected.tag
+        assert back.backend == expected.backend == "cluster-cim"
+        assert back.options == expected.options
+        np.testing.assert_array_equal(
+            back.instance.coords, expected.instance.coords
+        )
 
 
 class TestSolveRequestRoundTrip:
@@ -296,7 +531,7 @@ class TestStrictValidation:
 
     def test_unknown_fault_plan_field_rejected(self):
         with pytest.raises(ProtocolError, match="unknown fields"):
-            decode_fault_plan({"seed": 1, "explode_rate": 1.0})
+            decode(FaultPlan, {"seed": 1, "explode_rate": 1.0}, "fault_plan")
 
     def test_non_object_rejected(self):
         with pytest.raises(ProtocolError, match="must be a JSON object"):
@@ -337,17 +572,17 @@ class TestStrictValidation:
 
     def test_bad_option_types_rejected(self):
         with pytest.raises(ProtocolError, match="must be an integer"):
-            decode_options({"max_workers": "four"})
+            decode(EnsembleOptions, {"max_workers": "four"}, "options")
         with pytest.raises(ProtocolError, match="must be a boolean"):
-            decode_options({"strict": 1})
+            decode(EnsembleOptions, {"strict": 1}, "options")
         with pytest.raises(ProtocolError, match="must be a number or null"):
-            decode_options({"timeout_s": "soon"})
+            decode(EnsembleOptions, {"timeout_s": "soon"}, "options")
 
     def test_out_of_range_options_rejected(self):
         # Domain validation (EnsembleOptions.__post_init__) surfaces as
         # a protocol error, not a 500.
         with pytest.raises(ProtocolError, match="invalid options"):
-            decode_options({"max_workers": 0})
+            decode(EnsembleOptions, {"max_workers": 0}, "options")
 
     def test_bad_strategy_label_rejected(self, make_request):
         wire = encode_solve_request(make_request())
@@ -356,19 +591,129 @@ class TestStrictValidation:
             decode_solve_request(wire)
 
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("schedule", "lsb_countdown", "yes"),
+            ("schedule", "iterations_per_step", 50.0),
+            ("schedule", "iterations_per_step", True),
+            ("cell_params", "sigma_v_mv", True),
+        ],
+    )
+    def test_bad_nested_config_types_rejected(
+        self, make_request, section, key, value
+    ):
+        wire = encode_solve_request(make_request())
+        wire["config"][section][key] = value
+        with pytest.raises(
+            ProtocolError, match=rf"config\.{section}\.{key} must be"
+        ):
+            decode_solve_request(wire)
+
+    @pytest.mark.parametrize("edges", [[[0.7, 1.9]], [[0, 1], [True, 2]]])
+    def test_non_integer_maxcut_endpoints_rejected(self, edges):
+        # [0.7, 1.9] used to be truncated to the edge (0, 1).
+        wire = json.loads(PIN_MAXCUT)
+        wire["instance"]["edges"] = edges
+        wire["instance"]["weights"] = [1.0] * len(edges)
+        with pytest.raises(ProtocolError, match="integer pairs"):
+            decode_solve_request(wire)
+
 class TestFaultPlanCodec:
     def test_none_passes_through(self):
-        assert encode_fault_plan(None) is None
-        assert decode_fault_plan(None) is None
+        assert encode(None) is None
+        options = decode(EnsembleOptions, {"fault_plan": None}, "options")
+        assert options.fault_plan is None
 
     def test_defaults_fill_missing_fields(self):
-        plan = decode_fault_plan({"seed": 9, "crash_rate": 0.3})
+        plan = decode(FaultPlan, {"seed": 9, "crash_rate": 0.3}, "fault_plan")
         assert plan == FaultPlan(seed=9, crash_rate=0.3)
 
     def test_options_round_trip_without_plan(self):
         options = EnsembleOptions(max_workers=2)
-        assert decode_options(encode_options(options)) == options
+        assert decode(EnsembleOptions, encode(options), "options") == options
 
+
+def _codec_samples():
+    """Wire dataclass → values that, between them, set every field to
+    a non-default.  (Only ``cluster-cim`` takes a config, so a second
+    request carries the non-default backend.)"""
+    request = _golden_tsp_request()
+    config = request.config
+    other = SolveRequest.build(request.instance, [9], backend="dense-ising")
+    return {
+        SolveRequest: [request, other],
+        EnsembleOptions: [request.options],
+        FaultPlan: [request.options.fault_plan],
+        AnnealerConfig: [config],
+        VddSchedule: [config.schedule],
+        SRAMCellParams: [config.cell_params],
+    }
+
+
+def _field_default(f):
+    if f.default is not dataclasses.MISSING:
+        return f.default
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return dataclasses.MISSING
+
+
+class TestDerivedCodec:
+    """The codec walks the dataclasses, so the wire cannot drift from
+    them: every field is on the wire, and every field survives it."""
+
+    @pytest.mark.parametrize(
+        "cls", list(_codec_samples()), ids=lambda cls: cls.__name__
+    )
+    def test_encoded_keys_are_the_fields(self, cls):
+        names = [f.name for f in dataclasses.fields(cls)]
+        for value in _codec_samples()[cls]:
+            assert list(encode(value)) == names
+            if cls is SolveRequest:
+                assert list(encode_solve_request(value)) == ["schema", *names]
+
+    @pytest.mark.parametrize(
+        "cls", list(_codec_samples()), ids=lambda cls: cls.__name__
+    )
+    def test_every_field_non_default_round_trips(self, cls):
+        samples = _codec_samples()[cls]
+        for f in dataclasses.fields(cls):
+            default = _field_default(f)
+            if default is dataclasses.MISSING:
+                continue
+            assert any(
+                encode(getattr(value, f.name)) != encode(default)
+                for value in samples
+            ), f"no sample sets {cls.__name__}.{f.name}"
+        for value in samples:
+            if cls is SolveRequest:
+                back = wire_round_trip(value)
+                assert encode(back) == encode(value)
+                for f in dataclasses.fields(cls):
+                    if f.name != "instance":
+                        assert getattr(back, f.name) == getattr(value, f.name)
+            else:
+                wire = json.loads(json.dumps(encode(value)))
+                assert decode(cls, wire, cls.__name__) == value
+
+    def test_every_problem_union_member_has_a_kind_codec(self):
+        samples = {
+            "TSPInstance": _golden_tsp_request().instance,
+            "IsingModel": _golden_ising_request().instance,
+            "MaxCutProblem": _golden_maxcut_request().instance,
+            "QUBOProblem": _golden_qubo_request().instance,
+        }
+        members = {
+            arg.__forward_arg__
+            if isinstance(arg, ForwardRef)
+            else arg.__name__
+            for arg in get_args(ProblemLike)
+        }
+        assert members == set(samples)
+        assert {problem_kind(p) for p in samples.values()} == set(
+            PROBLEM_CODECS
+        )
 
 class TestTelemetryFrames:
     def frame(self, **overrides):

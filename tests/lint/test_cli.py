@@ -63,10 +63,10 @@ def test_json_format(capsys):
 
 
 def test_sarif_format(capsys):
-    assert main(["--format", "sarif", str(FIXTURES / "rl009_bad.py")]) == 1
+    assert main(["--format", "sarif", str(FIXTURES / "rl004_bad.py")]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == "2.1.0"
-    assert [r["ruleId"] for r in doc["runs"][0]["results"]] == ["RL009"] * 4
+    assert [r["ruleId"] for r in doc["runs"][0]["results"]] == ["RL004"] * 4
 
 
 def test_cache_path_flag_round_trips(tmp_path, capsys):

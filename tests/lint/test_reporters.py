@@ -48,15 +48,15 @@ def test_json_round_trip():
 
 
 def test_reporters_round_trip_new_rule_codes():
-    # RL009/RL011 fire at the fixtures' real location (content-scoped);
+    # RL004/RL011 fire at the fixtures' real location (content-scoped);
     # text and JSON must carry them like any older code.
     report = lint_paths(
-        [str(FIXTURES / "rl009_bad.py"), str(FIXTURES / "rl011_bad.py")]
+        [str(FIXTURES / "rl004_bad.py"), str(FIXTURES / "rl011_bad.py")]
     )
     payload = json.loads(render_json(report))
-    assert payload["counts_by_code"] == {"RL009": 4, "RL011": 3}
+    assert payload["counts_by_code"] == {"RL004": 4, "RL011": 3}
     text = render_text(report)
-    assert "RL009×4" in text and "RL011×3" in text
+    assert "RL004×4" in text and "RL011×3" in text
 
 
 def test_sarif_shape_validates_2_1_0():
@@ -86,7 +86,7 @@ def test_sarif_carries_every_json_violation():
     report = lint_paths(
         [
             str(FIXTURES / "rl002_bad.py"),
-            str(FIXTURES / "rl009_bad.py"),
+            str(FIXTURES / "rl004_bad.py"),
             str(FIXTURES / "rl011_bad.py"),
         ]
     )

@@ -18,7 +18,7 @@ def codes_in(path: Path, root: Path | None = None) -> Counter:
     return Counter(v.code for v in violations)
 
 
-def test_all_eleven_rules_registered():
+def test_all_ten_rules_registered():
     assert rule_codes() == [
         "RL001",
         "RL002",
@@ -28,7 +28,6 @@ def test_all_eleven_rules_registered():
         "RL006",
         "RL007",
         "RL008",
-        "RL009",
         "RL010",
         "RL011",
     ]
@@ -44,7 +43,6 @@ def test_all_eleven_rules_registered():
         ("rl003_gateway_bad.py", "RL003", 4),
         ("rl004_bad.py", "RL004", 4),
         ("rl005_bad.py", "RL005", 2),
-        ("rl009_bad.py", "RL009", 4),
         ("rl011_bad.py", "RL011", 3),
     ],
 )
@@ -65,8 +63,6 @@ def test_positive_fixture_fails(fixture: str, code: str, count: int):
         "rl004_good.py",
         "rl005_good.py",
         "rl006_good.py",
-        "rl009_good.py",
-        "rl009_union_good.py",
         "rl011_good.py",
     ],
 )

@@ -1,10 +1,8 @@
 """repro_lint — domain-aware static analysis for the repro codebase.
 
-A two-pass, project-wide rule engine.  Pass 1 parses every file into a
-:class:`~repro_lint.project.ProjectContext` (import graph, exported
-symbols, dataclass field index, async-def index); pass 2 runs per-file
-AST rules with that context available, which is what lets rules reason
-*across* modules.
+A per-file rule engine: each file is parsed once and every active rule
+is a small AST walk over it, with a content-hash cache and ``--jobs``
+parallelism on top.
 
 The rules machine-check the conventions the reproduction's correctness
 rests on: numerically stable Boltzmann accepts (RL001), explicit
@@ -13,8 +11,7 @@ seeded ``Generator`` RNG (RL002), pickle-safety across the
 defaults (RL004), no blanket handlers that swallow ``AnnealerError``
 (RL005), telemetry-owned wall-clock reads in solver kernels (RL006),
 bounded retry loops (RL007), no blocking calls on the async serving
-path (RL008), wire codecs in bijection with their dataclasses
-(RL009), bit-exactness of batched kernels (RL010), and no stale
+path (RL008), bit-exactness of batched kernels (RL010), and no stale
 suppression comments (RL011).
 
 Usage::
@@ -40,11 +37,6 @@ from repro_lint.engine import (  # noqa: F401
     lint_file,
     lint_paths,
 )
-from repro_lint.project import (  # noqa: F401
-    ModuleSummary,
-    ProjectContext,
-    build_project_context,
-)
 from repro_lint.registry import (  # noqa: F401
     Rule,
     all_rules,
@@ -64,17 +56,14 @@ from repro_lint.violations import Violation  # noqa: F401
 # Importing the rules package registers the built-in RLnnn rules.
 import repro_lint.rules  # noqa: F401  isort:skip
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "LintCache",
     "LintReport",
-    "ModuleSummary",
-    "ProjectContext",
     "Rule",
     "Violation",
     "all_rules",
-    "build_project_context",
     "discover_files",
     "get_rule",
     "lint_file",

@@ -9,10 +9,10 @@ depends on:
 * the file's **content digest** — any edit invalidates it;
 * the **active rule set** (sorted codes) — ``--select``/``--ignore``
   changes and newly registered rules invalidate it;
-* the **project fingerprint** — cross-file rules (RL009) read facts
-  from *other* modules, so editing ``options.py`` must invalidate the
-  cached verdict for ``protocol.py`` too;
 * the **engine cache version** — bumped when rule semantics change.
+
+Every rule reads only the file it checks, so no other file's content
+is part of the key: editing one file never spoils another's entry.
 
 The cache stores violations only; suppression accounting happens
 before a verdict is cached, so replayed entries are byte-identical to
@@ -33,7 +33,7 @@ CACHE_SCHEMA = "repro_lint.cache/v1"
 
 #: Bump when rule or engine semantics change in a way that should
 #: invalidate previously cached verdicts wholesale.
-ENGINE_CACHE_VERSION = "2"
+ENGINE_CACHE_VERSION = "3"
 
 
 def file_digest(data: bytes) -> str:
@@ -46,7 +46,6 @@ def cache_key(
     path_str: str,
     digest: str,
     rules_signature: str,
-    project_fingerprint: str,
 ) -> str:
     """Composite key for one file's cached verdict."""
     blob = "\x00".join(
@@ -56,7 +55,6 @@ def cache_key(
             path_str,
             digest,
             rules_signature,
-            project_fingerprint,
         )
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

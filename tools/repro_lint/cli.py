@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help=(
             "JSON cache of per-file verdicts; replayed when neither "
-            "the file, the rule set, nor the project facts changed"
+            "the file nor the rule set changed"
         ),
     )
     parser.add_argument(

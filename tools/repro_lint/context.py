@@ -6,22 +6,13 @@ child→parent node map, and the repo-relative posix path used for
 path-scoped rules (e.g. RL006 only applies inside ``repro/`` solver
 modules).  Building these once per file keeps each rule a small, pure
 AST walk.
-
-Cross-file rules additionally read :attr:`FileContext.project` — the
-pass-1 :class:`~repro_lint.project.ProjectContext` with the module
-import graph, exported-symbol table, and dataclass field index (see
-``project.py``).  The engine always provides one; a context built by
-hand without it still resolves dataclasses defined in the same file.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
-
-if TYPE_CHECKING:
-    from repro_lint.project import ProjectContext
+from typing import Dict, Optional, Set
 
 
 @dataclass
@@ -32,8 +23,6 @@ class FileContext:
     rel_path: str  # posix path relative to the lint root (for scoping)
     source: str
     tree: ast.Module
-    #: Pass-1 cross-file indexes (None only for hand-built contexts).
-    project: Optional["ProjectContext"] = None
     _parents: Optional[Dict[ast.AST, ast.AST]] = field(
         default=None, repr=False
     )
@@ -100,28 +89,6 @@ class FileContext:
             self._index_imports()
         assert self._from_imports is not None
         return self._from_imports
-
-    # ------------------------------------------------------------------
-    def resolve_dataclass(self, local_name: str) -> Optional[Tuple[str, ...]]:
-        """Ordered public fields of the dataclass bound to ``local_name``.
-
-        Resolution order: a ``@dataclass`` defined in this file, then a
-        ``from M import N`` binding looked up in the project's
-        cross-file dataclass index.  Returns None when the name does
-        not resolve to a known dataclass.
-        """
-        from repro_lint.project import dataclass_fields_of
-
-        for node in self.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == local_name:
-                return dataclass_fields_of(node)
-        if self.project is not None:
-            origin = self.from_imports.get(local_name)
-            if origin is not None:
-                fields = self.project.fields_of(origin)
-                if fields is not None:
-                    return fields
-        return None
 
     # ------------------------------------------------------------------
     def imports_module(self, name: str) -> bool:

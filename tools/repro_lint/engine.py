@@ -1,18 +1,16 @@
-"""Lint engine: two-pass project analysis, rule dispatch, suppression.
+"""Lint engine: per-file analysis, rule dispatch, suppression.
 
-Pass 1 parses every discovered file once and distils it into a
-:class:`~repro_lint.project.ProjectContext` — the cross-file indexes
-(import graph, exported symbols, dataclass fields, async defs) that
-rules like RL009 read.  Pass 2 runs the per-file rules with that
-context attached, filters hits through suppression comments (recording
-which suppressions actually fired, the raw material of RL011), and
-returns a deterministic, sorted violation list.
+Each discovered file is parsed once and every active rule runs over
+it; hits are filtered through suppression comments (recording which
+suppressions actually fired, the raw material of RL011), and the run
+returns a deterministic, sorted violation list.  A rule reads only the
+file it checks.
 
-Two optional accelerators keep the bigger engine pre-commit fast:
+Two optional accelerators keep the engine pre-commit fast:
 
 * a content-hash cache (``cache_path``) replays per-file verdicts when
-  neither the file, the active rule set, nor the project facts changed;
-* ``jobs > 1`` fans pass 2 out over worker processes, with results
+  neither the file nor the active rule set changed;
+* ``jobs > 1`` fans the files out over worker processes, with results
   re-ordered so output is byte-identical to a serial run.
 
 All domain knowledge lives in the rules; all output formatting in the
@@ -28,7 +26,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro_lint.cache import LintCache, cache_key, file_digest
 from repro_lint.context import FileContext
-from repro_lint.project import ProjectContext, build_project_context
 from repro_lint.registry import Rule, rule_codes, select_rules
 from repro_lint.suppressions import STALE_RULE_CODE, parse_suppressions
 from repro_lint.violations import Violation
@@ -100,9 +97,7 @@ def rel_path_for(path: Path, root: Optional[Path]) -> str:
     return rel.as_posix()
 
 
-def _build_context(
-    path: Path, root: Optional[Path], project: Optional[ProjectContext]
-) -> FileContext:
+def _build_context(path: Path, root: Optional[Path]) -> FileContext:
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=str(path))
     return FileContext(
@@ -110,7 +105,6 @@ def _build_context(
         rel_path=rel_path_for(path, root),
         source=source,
         tree=tree,
-        project=project,
     )
 
 
@@ -118,18 +112,10 @@ def lint_file(
     path: Path,
     rules: Sequence[Rule],
     root: Optional[Path] = None,
-    project: Optional[ProjectContext] = None,
 ) -> List[Violation]:
-    """Run ``rules`` over one file, honouring suppression comments.
-
-    When no pass-1 ``project`` is supplied (direct calls, tests), a
-    single-file context is built on the fly so cross-file rules still
-    see the facts of this one module.
-    """
-    if project is None:
-        project = build_project_context([(path, rel_path_for(path, root))])
+    """Run ``rules`` over one file, honouring suppression comments."""
     try:
-        ctx = _build_context(path, root, project)
+        ctx = _build_context(path, root)
     except SyntaxError as exc:
         return [
             Violation(
@@ -177,20 +163,16 @@ def lint_file(
 
 # ----------------------------------------------------------------------
 # --jobs worker plumbing.  Workers are primed once per process with the
-# (picklable) rule selection, root, and project context, then receive
-# bare path strings — the cheap part of each task.
+# (picklable) rule selection and root, then receive bare path strings —
+# the cheap part of each task.
 _WORKER_STATE: Dict[str, object] = {}
 
 
 def _init_worker(
-    select: Tuple[str, ...],
-    ignore: Tuple[str, ...],
-    root: Optional[str],
-    project: ProjectContext,
+    select: Tuple[str, ...], ignore: Tuple[str, ...], root: Optional[str]
 ) -> None:
     _WORKER_STATE["rules"] = select_rules(select, ignore)
     _WORKER_STATE["root"] = Path(root) if root else None
-    _WORKER_STATE["project"] = project
 
 
 def _lint_one(path_str: str) -> List[Violation]:
@@ -198,7 +180,6 @@ def _lint_one(path_str: str) -> List[Violation]:
         Path(path_str),
         _WORKER_STATE["rules"],  # type: ignore[arg-type]
         root=_WORKER_STATE["root"],  # type: ignore[arg-type]
-        project=_WORKER_STATE["project"],  # type: ignore[arg-type]
     )
 
 
@@ -207,17 +188,16 @@ def _lint_parallel(
     select: Tuple[str, ...],
     ignore: Tuple[str, ...],
     root: Optional[Path],
-    project: ProjectContext,
     jobs: int,
 ) -> Optional[List[List[Violation]]]:
-    """Fan pass 2 out over processes; None when a pool cannot start."""
+    """Fan the files out over processes; None when a pool cannot start."""
     import concurrent.futures
 
     try:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
-            initargs=(select, ignore, str(root) if root else None, project),
+            initargs=(select, ignore, str(root) if root else None),
         ) as pool:
             return list(pool.map(_lint_one, [str(p) for p in files]))
     except (OSError, ValueError, RuntimeError, PermissionError):
@@ -244,8 +224,8 @@ def lint_paths(
         Base for the repo-relative paths used by path-scoped rules;
         defaults to the current working directory.
     jobs:
-        Worker processes for pass 2 (1 = in-process serial).  Output
-        is byte-identical either way.
+        Worker processes (1 = in-process serial).  Output is
+        byte-identical either way.
     cache_path:
         When given, per-file verdicts are replayed from / persisted to
         this JSON cache (see :mod:`repro_lint.cache` for the key).
@@ -254,11 +234,6 @@ def lint_paths(
     ignore = tuple(ignore)
     rules = select_rules(select, ignore)
     files = discover_files(paths)
-    pairs = [(path, rel_path_for(path, root)) for path in files]
-
-    # Pass 1: project-wide indexes shared by every rule.
-    project = build_project_context(pairs)
-
     report = LintReport(files_checked=len(files))
     results: Dict[int, List[Violation]] = {}
 
@@ -266,34 +241,33 @@ def lint_paths(
     keys: Dict[int, str] = {}
     if cache_path is not None:
         cache = LintCache.load(cache_path)
-        fingerprint = project.fingerprint()
         signature = ",".join(sorted(rule.code for rule in rules))
-        for idx, (path, rel) in enumerate(pairs):
+        for idx, path in enumerate(files):
             try:
                 digest = file_digest(path.read_bytes())
             except OSError:
                 digest = ""
-            keys[idx] = cache_key(rel, str(path), digest, signature, fingerprint)
+            keys[idx] = cache_key(
+                rel_path_for(path, root), str(path), digest, signature
+            )
             cached = cache.get(keys[idx])
             if cached is not None:
                 results[idx] = cached
 
     todo = [idx for idx in range(len(files)) if idx not in results]
 
-    # Pass 2: per-file rules, parallel when asked and worthwhile.
+    # Per-file rules, parallel when asked and worthwhile.
     fresh: Optional[List[List[Violation]]] = None
     if jobs > 1 and len(todo) > 1:
         fresh = _lint_parallel(
-            [files[idx] for idx in todo], select, ignore, root, project, jobs
+            [files[idx] for idx in todo], select, ignore, root, jobs
         )
     if fresh is not None:
         for idx, violations in zip(todo, fresh):
             results[idx] = violations
     else:
         for idx in todo:
-            results[idx] = lint_file(
-                files[idx], rules, root=root, project=project
-            )
+            results[idx] = lint_file(files[idx], rules, root=root)
 
     if cache is not None:
         for idx in todo:

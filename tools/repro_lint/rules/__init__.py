@@ -15,7 +15,6 @@ from repro_lint.rules import (  # noqa: F401  (imports register the rules)
     rl006_wall_clock,
     rl007_unbounded_retry,
     rl008_blocking_async,
-    rl009_wire_schema,
     rl010_bit_exactness,
     rl011_stale_suppression,
 )
