@@ -735,29 +735,29 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.gateway.client import GatewayClient, GatewayHTTPError
     from repro.runtime.options import EnsembleOptions, SolveRequest
 
-    try:
-        instance = _build_problem(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"instance : {instance}")
     cfg: Optional["AnnealerConfig"] = None
     if args.backend == _DEFAULT_BACKEND:
         from repro.annealer import AnnealerConfig
 
         cfg = AnnealerConfig(strategy=args.strategy, seed=args.seed)
     seeds = list(range(args.seed, args.seed + max(1, args.ensemble)))
-    request = SolveRequest.build(
-        instance,
-        seeds,
-        config=cfg,
-        options=EnsembleOptions(
-            timeout_s=args.timeout, batch_size=args.batch_size
-        ),
-        tag=args.tag,
-        backend=args.backend,
-        deadline_s=args.deadline,
-    )
+    try:
+        instance = _build_problem(args)
+        request = SolveRequest.build(
+            instance,
+            seeds,
+            config=cfg,
+            options=EnsembleOptions(
+                timeout_s=args.timeout, batch_size=args.batch_size
+            ),
+            tag=args.tag,
+            backend=args.backend,
+            deadline_s=args.deadline,
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"instance : {instance}")
     client = GatewayClient(args.url)
     try:
         handle = client.submit(request)
@@ -1011,18 +1011,18 @@ def _problems_submit(args: argparse.Namespace) -> int:
     from repro.problems import make_problem
     from repro.runtime.options import SolveRequest
 
+    seeds = list(range(args.seed, args.seed + max(1, args.ensemble)))
     try:
         fam = make_problem(args.family, args.size, args.seed)
+        qubo = fam.to_qubo()
+        request = SolveRequest.build(
+            qubo, seeds, tag=args.tag, backend=args.backend
+        )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    qubo = fam.to_qubo()
     print(f"instance : {fam}")
     print(f"qubo     : {qubo}")
-    seeds = list(range(args.seed, args.seed + max(1, args.ensemble)))
-    request = SolveRequest.build(
-        qubo, seeds, tag=args.tag, backend=args.backend
-    )
     client = GatewayClient(args.url)
     try:
         handle = client.submit(request)

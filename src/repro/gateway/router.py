@@ -44,17 +44,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 from dataclasses import replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    AsyncIterator,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.backends.base import problem_kind
 from repro.errors import AnnealerError, DeadlineExceededError, GatewayError
@@ -63,9 +53,6 @@ from repro.runtime.faults import Backoff, ShardFaultPlan
 from repro.runtime.options import EnsembleOptions, SolveRequest
 from repro.runtime.service import AnnealingService, Job, JobState
 from repro.runtime.telemetry import RunTelemetry
-
-if TYPE_CHECKING:  # import cycle: repro.annealer.batch imports runtime
-    from repro.annealer.batch import EnsembleResult
 
 METRICS_SCHEMA = "repro.gateway_metrics/v1"
 
@@ -159,44 +146,41 @@ def policy_from_name(name: str) -> RoutingPolicy:
         ) from None
 
 
-class GatewayJob:
+class GatewayJob(Job):
     """A routed job that survives its shard.
 
-    The client-facing handle the router hands out.  Unlike the
-    underlying per-shard :class:`~repro.runtime.service.Job`, a
-    ``GatewayJob`` owns its *own* record buffer and terminal state:
-    the router's supervisor forwards telemetry frames from whichever
-    shard attempt is currently running, **deduplicating by seed** —
-    runs are pure functions of their seed, so after a failover the
-    replacement attempt re-produces frames the first attempt already
-    streamed, and subscribers must see each seed exactly once.
+    The client-facing handle the router hands out.  It is a
+    :class:`~repro.runtime.service.Job` (record buffer, replayable
+    :meth:`stream`, :meth:`result`) whose records the router's
+    supervisor forwards from whichever shard attempt is currently
+    running.  On top of ``Job`` it adds only what failover needs:
 
-    :attr:`shard_index` / :attr:`shard_name` always name the shard the
-    job is (or last was) running on; :attr:`failovers` counts
-    re-dispatches.
+    * the shard binding (:attr:`shard_index` / :attr:`shard_name`
+      always name the shard the job is, or last was, running on, and
+      :attr:`failovers` counts re-dispatches);
+    * seed deduplication: runs are pure functions of their seed, so a
+      replacement attempt re-produces frames the first attempt already
+      streamed, and subscribers must see each seed exactly once;
+    * a :attr:`state` that hides a dead attempt's cancellation while a
+      failover is in flight;
+    * the admission and last-progress times the stall watchdog and
+      the shrinking deadline read;
+    * a sticky :meth:`cancel`: the inherited cancel event stays set,
+      so the supervisor never re-dispatches a cancelled job.
     """
 
     def __init__(self, job_id: str, request: SolveRequest) -> None:
-        self.job_id = job_id
-        self.request = request
+        super().__init__(job_id, request)
         self.shard_index = -1
         self.shard_name = ""
         self.failovers = 0
-        self._records: List[RunTelemetry] = []
         self._seen_seeds: Set[int] = set()
-        self._state = JobState.PENDING
-        self._result: Optional["EnsembleResult"] = None
-        self._error: Optional[BaseException] = None
-        self._finished = asyncio.Event()
-        self._wakeup = asyncio.Event()
-        self._cancel_requested = False
         self._stall_injected = False
         self._used_shards: Set[int] = set()
         self._current: Optional[Job] = None
         self._admitted_t = 0.0
         self._last_progress_t = 0.0
 
-    # -- public read surface -------------------------------------------
     @property
     def state(self) -> JobState:
         """Current lifecycle state (the gateway's view, not a shard's).
@@ -205,7 +189,7 @@ class GatewayJob:
         state is *not* surfaced — the job is still running as far as
         any client is concerned.
         """
-        if self._finished.is_set():
+        if self.done:
             return self._state
         inner = self._current
         if inner is not None and not inner.done:
@@ -213,61 +197,18 @@ class GatewayJob:
         return JobState.RUNNING if inner is not None else self._state
 
     @property
-    def done(self) -> bool:
-        """True once the job reached a terminal state."""
-        return self._finished.is_set()
-
-    @property
-    def records(self) -> Tuple[RunTelemetry, ...]:
-        """Deduplicated telemetry records streamed so far."""
-        return tuple(self._records)
+    def _cancel_requested(self) -> bool:
+        """True once a client cancelled the job (sticky)."""
+        return self._cancel_event.is_set()
 
     def cancel(self) -> None:
-        """Request cooperative cancellation.
-
-        Sticky across failovers: the supervisor will not re-dispatch a
-        cancelled job, whichever attempt the cancellation lands on.
-        """
-        self._cancel_requested = True
+        """Request cooperative cancellation of every attempt."""
+        super().cancel()
         inner = self._current
         if inner is not None:
             inner.cancel()
 
-    async def stream(self) -> AsyncIterator[RunTelemetry]:
-        """Yield each seed's telemetry record exactly once.
-
-        Replayable and failover-transparent: late consumers see the
-        buffered records first, and records produced by a replacement
-        shard attempt appear only for seeds the first attempt never
-        delivered.
-        """
-        idx = 0
-        while True:
-            # Capture the wakeup event *before* scanning: a record
-            # posted after the scan then sets this captured event, so
-            # the await below cannot miss it.
-            wakeup = self._wakeup
-            while idx < len(self._records):
-                yield self._records[idx]
-                idx += 1
-            if self._finished.is_set() and idx >= len(self._records):
-                return
-            await wakeup.wait()
-
-    async def result(self) -> "EnsembleResult":
-        """Await the terminal outcome (bit-identical across failovers)."""
-        await self._finished.wait()
-        if self._error is not None:
-            raise self._error
-        assert self._result is not None
-        return self._result
-
     # -- supervisor-side mutation --------------------------------------
-    def _notify(self) -> None:
-        wakeup = self._wakeup
-        self._wakeup = asyncio.Event()
-        wakeup.set()
-
     def _attach(self, inner: Job, shard_index: int, shard_name: str) -> None:
         """Bind the handle to the shard attempt currently running it."""
         self._current = inner
@@ -280,27 +221,11 @@ class GatewayJob:
 
     def _post_record(self, record: RunTelemetry) -> None:
         self._last_progress_t = asyncio.get_running_loop().time()
-        if self._state is JobState.PENDING:
-            self._state = JobState.RUNNING
+        self._mark_running()
         if record.seed in self._seen_seeds:
             return  # replayed by a failover attempt: already delivered
         self._seen_seeds.add(int(record.seed))
-        self._records.append(record)
-        self._notify()
-
-    def _finish(
-        self,
-        state: JobState,
-        result: Optional["EnsembleResult"] = None,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        if self._finished.is_set():
-            return
-        self._state = state
-        self._result = result
-        self._error = error
-        self._finished.set()
-        self._notify()
+        super()._post_record(record)
 
 
 class ShardRouter:

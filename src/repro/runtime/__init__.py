@@ -13,6 +13,9 @@ here.
   dispatch, per-run timeout + bounded retry, failure isolation,
   completion callbacks, and deterministic (seed-ordered,
   serial-identical) results;
+* :class:`WorkerPool` — the one owner of a worker-process pool: built
+  once, healed within a lifetime budget, hung slots counted across
+  every run that shares it;
 * :class:`AnnealingService` / :class:`Job` / :class:`JobState` — the
   async multi-instance serving front-end: one shared pool, many
   concurrent jobs, per-job streamed :class:`RunTelemetry`, admission
@@ -33,7 +36,7 @@ concurrent instances, and :func:`solve_async` to await one request.
 Executor internals (``_solve_unit``, the dispatch loops) are private.
 """
 
-from repro.runtime.executor import EnsembleExecutor
+from repro.runtime.executor import EnsembleExecutor, WorkerPool
 from repro.runtime.faults import (
     Backoff,
     CircuitBreaker,
@@ -75,6 +78,7 @@ __all__ = [
     "ShardFaultKind",
     "ShardFaultPlan",
     "SolveRequest",
+    "WorkerPool",
     "solve_async",
     "solve_sync",
 ]

@@ -17,14 +17,15 @@ backend's ``validate_result`` gate, the per-seed in-process retry
 :class:`~repro.runtime.faults.Backoff`), circuit-breaker checks,
 injected-fault accounting and cancellation (checked before each unit
 is dispatched and before each record is emitted).  The pool loop adds
-chunked waves, timeouts (``timeout_s`` per seed in the unit) and
-self-healing (:class:`_PoolSupervisor` rebuilds a broken or
-hang-starved pool within ``self_heal_budget``, then degrades to the
-serial loop).
+chunked waves and timeouts (``timeout_s`` per seed in the unit) on a
+:class:`WorkerPool`, the one owner of the process pool: it counts hung
+slots across every run sharing it and rebuilds a broken or
+hang-starved pool within ``self_heal_budget`` over its life, after
+which runs degrade to the serial loop.
 Results are reassembled in the caller's seed order, so every path is
-bit-identical to the serial one.  Only :meth:`EnsembleExecutor.run` is
-supported API; ``docs/architecture.md`` and ``docs/robustness.md``
-describe the behaviour in full.
+bit-identical to the serial one.  Only :meth:`EnsembleExecutor.run` and
+:class:`WorkerPool` are supported API; ``docs/architecture.md`` and
+``docs/robustness.md`` describe the behaviour in full.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ if TYPE_CHECKING:  # import cycle: repro.annealer.batch uses this module
 #: Fires with each run's telemetry record the moment it is final.
 RunCallback = Callable[[RunTelemetry], None]
 
-#: Asked to replace a broken borrowed pool; returns the healed pool or
-#: None when the owner's self-heal budget is spent (degrade serially).
-PoolHealer = Callable[["Executor"], Optional["Executor"]]
-
 #: One seed's final outcome: its result (None if it failed) and record.
 Outcome = Tuple[Optional[RunResultLike], RunTelemetry]
 
@@ -105,54 +102,56 @@ def _solve_unit(
     return [injector.post_solve(seed, attempt, impl.solve(plan, seed))]
 
 
-class _PoolSupervisor:
-    """Owns the pool handle for one :meth:`EnsembleExecutor.run`.
+class WorkerPool:
+    """The worker-process pool one owner shares across its runs.
 
-    Centralises the self-healing state: (re)builds owned pools within
-    a bounded rebuild budget, routes borrowed-pool breakage to the
-    owner's ``on_pool_broken`` callback, and accounts worker slots
-    occupied by hung (timed-out but uncancellable) runs so a starved
-    pool is healed like a broken one.
+    The only code that builds, heals or releases a process pool.  An
+    :class:`~repro.runtime.service.AnnealingService` owns one for its
+    lifetime and every job dispatches into it; a bare
+    :meth:`EnsembleExecutor.run` with ``max_workers > 1`` builds one for
+    that run.  Hung slots (timed-out runs whose worker cannot be
+    cancelled) are counted across every run on the pool, so one job's
+    hangs starve the pool for all of them and any run heals it.  Heals
+    are serialised: a run that saw a pool break hands it to
+    :meth:`heal`, which returns the pool a sibling already rebuilt, or
+    spends one unit of ``budget`` on a rebuild.  ``executor`` is None
+    once the pool is down (build failed, budget spent or
+    :meth:`close` ran), and every later run degrades to the serial
+    loop.
     """
 
-    def __init__(
-        self,
-        pool: Optional["Executor"],
-        max_workers: int,
-        budget: int,
-        on_pool_broken: Optional[PoolHealer] = None,
-    ) -> None:
-        self.pool = pool
-        self.owns_pool = pool is None
+    def __init__(self, max_workers: int, budget: int) -> None:
         self.max_workers = max_workers
         self.budget_left = budget
         self.rebuilds = 0
-        self._on_pool_broken = on_pool_broken
+        self._generation = 0
         self._hung = 0
+        self._closed = False
         self._lock = threading.Lock()
+        self.executor: Optional["Executor"] = self._build()
 
-    def build(self) -> bool:
-        """Create the initial owned pool; False → degrade serially."""
+    def _build(self) -> Optional["Executor"]:
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            self.pool = ProcessPoolExecutor(max_workers=self.max_workers)
-            return True
+            return ProcessPoolExecutor(max_workers=self.max_workers)
         # Pool construction cannot raise AnnealerError, and any failure
         # here (sandbox, no fork, ...) must degrade to the serial path.
         except Exception:  # repro-lint: ignore[RL005]
-            self.pool = None
-            return False
+            return None
 
     def note_hung(self, fut: "Future[Any]") -> None:
         """A timed-out future could not be cancelled: its worker slot
-        stays occupied until the hung run finishes on its own."""
+        stays occupied until the hung run finishes on its own (or the
+        pool it ran on is replaced)."""
         with self._lock:
             self._hung += 1
+            generation = self._generation
 
         def _reclaim(_done: "Future[Any]") -> None:
             with self._lock:
-                self._hung = max(0, self._hung - 1)
+                if self._generation == generation:
+                    self._hung -= 1
 
         fut.add_done_callback(_reclaim)
 
@@ -166,41 +165,38 @@ class _PoolSupervisor:
         """True when hung runs occupy every worker slot."""
         return self.hung_slots >= self.max_workers
 
-    def heal(self) -> bool:
-        """Replace a broken or starved pool; False → degrade serially.
+    def heal(self, broken: "Executor") -> Optional["Executor"]:
+        """Replace ``broken``, a pool a run saw break or starve.
 
-        Owned pools are rebuilt directly (``budget_left`` bounded);
-        borrowed pools defer to the owner's ``on_pool_broken`` (the
-        owner enforces its own budget, and may hand back a pool a
-        sibling already healed).
+        Returns the current pool without spending budget when a
+        sibling already replaced ``broken``; otherwise abandons it and
+        spends one unit of budget on a rebuild.  None (closed, budget
+        spent or rebuild failed) means degrade to the serial loop.
         """
-        old = self.pool
-        if self.owns_pool:
-            if self.budget_left <= 0:
-                return False
-            self.budget_left -= 1
-            if old is not None:
-                # Abandon, don't wait: hung workers finish their sleep
-                # and exit on their own; queued tasks are cancelled.
-                old.shutdown(wait=False, cancel_futures=True)
-            if not self.build():
-                return False
-        else:
-            if self._on_pool_broken is None:
-                return False
-            healed = self._on_pool_broken(old) if old is not None else None
-            if healed is None:
-                return False
-            self.pool = healed
         with self._lock:
+            if self._closed or self.executor is not broken:
+                return self.executor
+            # Abandon, don't wait: hung workers finish their sleep and
+            # exit on their own; queued tasks are cancelled.
+            broken.shutdown(wait=False, cancel_futures=True)
+            self.executor = None
             self._hung = 0
-        self.rebuilds += 1
-        return True
+            self._generation += 1
+            if self.budget_left <= 0:
+                return None
+            self.budget_left -= 1
+            self.executor = self._build()
+            if self.executor is not None:
+                self.rebuilds += 1
+            return self.executor
 
-    def shutdown(self) -> None:
-        """Release an owned pool (borrowed pools stay with the owner)."""
-        if self.owns_pool and self.pool is not None:
-            self.pool.shutdown(wait=False, cancel_futures=True)
+    def close(self) -> None:
+        """Release the pool without waiting; later heals are declined."""
+        with self._lock:
+            self._closed = True
+            executor, self.executor = self.executor, None
+        if executor is not None:
+            executor.shutdown(wait=False, cancel_futures=True)
 
 
 @dataclass
@@ -224,6 +220,7 @@ class _Dispatch:
     cancel: Optional["Event"]
     breaker: Optional[CircuitBreaker]
     by_seed: Dict[int, Outcome] = field(default_factory=dict)
+    rebuilds: int = 0
 
     @property
     def faults(self) -> Optional[FaultPlan]:
@@ -393,28 +390,32 @@ class _Dispatch:
             else:
                 self.settle(group, results, None, in_pool=False)
 
-    def run_pool(
-        self, groups: List[List[int]], supervisor: _PoolSupervisor
-    ) -> bool:
+    def run_pool(self, groups: List[List[int]], pool: WorkerPool) -> bool:
         """Run the units on the pool in waves; True if it degraded.
 
-        A wave the pool refuses (broken or shut down by a sibling) runs
-        in-process after a heal is attempted for the next wave; once
-        the heal budget is spent every later wave runs in-process.
+        A starved pool is healed before a wave goes out, a broken one
+        as soon as a wave saw it break.  A wave the pool refuses (shut
+        down or broken under a sibling) runs in-process after a heal is
+        attempted for the next wave; once the pool is down every later
+        wave runs in-process.
         """
         from concurrent.futures import TimeoutError as FuturesTimeout
         from concurrent.futures.process import BrokenProcessPool
 
         options = self.options
         chunk = options.chunk_size or max(1, 2 * options.max_workers)
-        degraded = False
+        executor = pool.executor
         for lo in range(0, len(groups), chunk):
             self.check_cancel()
             wave = groups[lo : lo + chunk]
-            futures = None if degraded else self.submit(supervisor, wave)
+            if executor is not None and pool.starved():
+                executor = self.heal(pool, executor)
+            if executor is None:
+                self.run_serial(wave)
+                continue
+            futures = self.submit(executor, wave)
             if futures is None:
-                if not degraded and not supervisor.heal():
-                    degraded = True
+                executor = self.heal(pool, executor)
                 self.run_serial(wave)
                 continue
             pool_broke = False
@@ -433,7 +434,7 @@ class _Dispatch:
                     # occupies its slot until done.
                     hung = not fut.cancel()
                     if hung:
-                        supervisor.note_hung(fut)
+                        pool.note_hung(fut)
                     what = (
                         "run"
                         if len(group) == 1
@@ -449,15 +450,21 @@ class _Dispatch:
                     self.settle(group, None, exc, in_pool=True)
                 else:
                     self.settle(group, results, None, in_pool=True)
-            if pool_broke or supervisor.starved():
-                # Self-heal: replace the broken/starved pool within the
-                # budget instead of degrading for good.
-                if not supervisor.heal():
-                    degraded = True
-        return degraded
+            if pool_broke:
+                executor = self.heal(pool, executor)
+        return executor is None
+
+    def heal(
+        self, pool: WorkerPool, broken: "Executor"
+    ) -> Optional["Executor"]:
+        """Ask the pool to replace ``broken``; counts this run's heals."""
+        healed = pool.heal(broken)
+        if healed is not None:
+            self.rebuilds += 1
+        return healed
 
     def submit(
-        self, supervisor: _PoolSupervisor, wave: List[List[int]]
+        self, executor: "Executor", wave: List[List[int]]
     ) -> Optional[List["Future[List[RunResultLike]]"]]:
         """Submit one wave of units; None when the pool refuses it.
 
@@ -465,17 +472,15 @@ class _Dispatch:
         futures already submitted; one that is already running
         finishes, but its result is never read.
         """
-        pool = supervisor.pool
-        assert pool is not None
         futures: List["Future[List[RunResultLike]]"] = []
         try:
             for group in wave:
-                fut = pool.submit(
+                fut = executor.submit(
                     _solve_unit, self.backend, self.plan, group,
                     self.faults, 0, True,
                 )
                 futures.append(fut)
-        # A borrowed pool can be shut down or broken by a sibling job
+        # A shared pool can be shut down or broken by a sibling run
         # mid-flight; the caller heals or degrades.
         except Exception:  # repro-lint: ignore[RL005]
             for fut in futures:
@@ -504,12 +509,11 @@ class EnsembleExecutor:
         *,
         backend: Optional[str] = None,
         on_run_complete: Optional[RunCallback] = None,
-        pool: Optional["Executor"] = None,
+        pool: Optional[WorkerPool] = None,
         worker_prefix: str = "",
         worker_suffix: str = "",
         cancel: Optional["Event"] = None,
         breaker: Optional[CircuitBreaker] = None,
-        on_pool_broken: Optional[PoolHealer] = None,
     ) -> Tuple[List[RunResultLike], EnsembleTelemetry]:
         """Solve ``instance`` once per seed.
 
@@ -527,9 +531,9 @@ class EnsembleExecutor:
             lands, while later seeds are still in flight.  Must be cheap
             and must not raise.
         pool:
-            A *borrowed* ``concurrent.futures`` executor to dispatch
-            into instead of a private pool; the caller owns its
-            lifecycle (the serving runtime shares one across jobs).
+            The :class:`WorkerPool` to dispatch into; its owner closes
+            it (the serving runtime shares one across jobs).  Without
+            one, ``max_workers > 1`` builds a pool for this run only.
         worker_prefix, worker_suffix:
             Wrapped around each record's ``worker`` field: the shard
             segment (``"shard0/"``) and the job id (``"@job-0001"``).
@@ -543,10 +547,6 @@ class EnsembleExecutor:
             consulted before each unit and fed every terminal outcome;
             once open the run raises
             :class:`~repro.runtime.faults.CircuitOpenError`.
-        on_pool_broken:
-            Self-heal hook for a *borrowed* pool: returns a replacement
-            or None, at which point the run degrades to the serial
-            loop.  Owned pools heal within ``options.self_heal_budget``.
         """
         from repro.backends import DEFAULT_BACKEND, resolve_backend
 
@@ -575,25 +575,22 @@ class EnsembleExecutor:
         )
         ordered = list(request.seeds)
         groups = dispatch.groups(ordered)
-        supervisor = _PoolSupervisor(
-            pool,
-            max_workers=self.options.max_workers,
-            budget=self.options.self_heal_budget,
-            on_pool_broken=on_pool_broken,
-        )
+        own_pool = pool is None and self.options.max_workers > 1
+        if own_pool:
+            pool = WorkerPool(
+                self.options.max_workers, self.options.self_heal_budget
+            )
 
         watch = Stopwatch()
-        if self.options.max_workers == 1 and pool is None:
+        if pool is None:
             mode = "serial"
-            dispatch.run_serial(groups)
-        elif supervisor.owns_pool and not supervisor.build():
-            mode = "serial-fallback"
             dispatch.run_serial(groups)
         else:
             try:
-                degraded = dispatch.run_pool(groups, supervisor)
+                degraded = dispatch.run_pool(groups, pool)
             finally:
-                supervisor.shutdown()
+                if own_pool:
+                    pool.close()
             mode = "serial-fallback" if degraded else "parallel"
         wall = watch.elapsed_s()
 
@@ -603,7 +600,7 @@ class EnsembleExecutor:
             max_workers=self.options.max_workers,
             mode=mode,
             wall_time_s=wall,
-            pool_rebuilds=supervisor.rebuilds,
+            pool_rebuilds=dispatch.rebuilds,
             backend=name,
         )
         results = [

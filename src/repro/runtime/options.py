@@ -23,6 +23,7 @@ shimmed for one release and removed in 1.2; see ``docs/serving.md``.)
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -32,6 +33,22 @@ from repro.runtime.faults import FaultPlan
 if TYPE_CHECKING:  # import cycle: repro.annealer.batch uses this module
     from repro.annealer.config import AnnealerConfig
     from repro.backends.base import ProblemLike
+
+_LABEL = re.compile(r"[A-Za-z0-9_-]*")
+
+
+def check_label(what: str, label: str) -> None:
+    """Reject a label that cannot sit inside a job id.
+
+    Tags and service names end up in job ids and ``worker`` fields
+    (``shard0/pool@<tag>-0001``) and in ``/v1/jobs/<id>`` URLs, so
+    only ASCII letters, digits, ``-`` and ``_`` are allowed.
+    """
+    if not _LABEL.fullmatch(label):
+        raise AnnealerError(
+            f"{what} may use only ASCII letters, digits, '-' and '_', "
+            f"got {label!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,9 +89,11 @@ class EnsembleOptions:
         ``backoff_base_s=0`` disables the pacing (tests).
     self_heal_budget:
         How many times a broken (or hang-starved) worker pool may be
-        rebuilt before the runtime degrades to the serial path.  For
-        an :class:`~repro.runtime.AnnealingService` this bounds
-        rebuilds of the *shared* pool over the service's lifetime.
+        rebuilt over its owner's life before runs degrade to the
+        serial path.  The owner is the
+        :class:`~repro.runtime.AnnealingService` (one budget for its
+        lifetime, shared by every job) or, for a bare
+        :meth:`~repro.runtime.EnsembleExecutor.run`, that one run.
     breaker_threshold:
         Per-job circuit breaker: after this many *consecutive*
         terminal run failures the job fails fast with
@@ -210,7 +229,8 @@ class SolveRequest:
         Runtime tuning (see :class:`EnsembleOptions`).
     tag:
         Optional human label; the serving runtime folds it into the
-        generated job id (and thus each record's ``worker`` field).
+        generated job id (and thus each record's ``worker`` field), so
+        it may use only ASCII letters, digits, ``-`` and ``_``.
     backend:
         Registry name of the solver backend to dispatch to
         (:func:`repro.backends.list_backends` enumerates them);
@@ -239,6 +259,7 @@ class SolveRequest:
         object.__setattr__(self, "seeds", seeds)
         if not seeds:
             raise AnnealerError("need at least one seed")
+        check_label("tag", self.tag)
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise AnnealerError(
                 f"deadline_s must be > 0, got {self.deadline_s}"

@@ -28,10 +28,12 @@ cooperatively (no further seeds dispatch; in-flight results are
 dropped).
 
 Internally each job's dispatch runs on a private thread (the event
-loop is never blocked) and reuses the battle-tested
+loop is never blocked) and reuses the
 :class:`~repro.runtime.executor.EnsembleExecutor` retry/timeout/
-fallback machinery with a *borrowed* shared pool; completed-run
-records cross back onto the event loop via
+fallback machinery on the service's one
+:class:`~repro.runtime.executor.WorkerPool`, which owns the process
+pool, its self-heal budget and its hung-slot count for the service's
+lifetime; completed-run records cross back onto the event loop via
 ``loop.call_soon_threadsafe``.  Only picklable module-level callables
 ever cross the process boundary (lint rule RL003 checks the async
 boundary too).
@@ -42,7 +44,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from enum import Enum
 from typing import (
@@ -58,9 +60,9 @@ from typing import (
 )
 
 from repro.errors import AnnealerError, DeadlineExceededError
-from repro.runtime.executor import EnsembleExecutor
+from repro.runtime.executor import EnsembleExecutor, WorkerPool
 from repro.runtime.faults import CircuitBreaker
-from repro.runtime.options import EnsembleOptions, SolveRequest
+from repro.runtime.options import EnsembleOptions, SolveRequest, check_label
 from repro.runtime.telemetry import RunTelemetry
 
 if TYPE_CHECKING:  # import cycle: repro.annealer.batch uses this module
@@ -203,6 +205,9 @@ class Job:
         result: Optional["EnsembleResult"] = None,
         error: Optional[BaseException] = None,
     ) -> None:
+        """Settle the job; the first terminal outcome wins."""
+        if self._finished.is_set():
+            return
         if self._deadline_handle is not None:
             self._deadline_handle.cancel()
             self._deadline_handle = None
@@ -236,10 +241,7 @@ class AnnealingService:
         *,
         name: str = "",
     ) -> None:
-        if name and not name.replace("-", "").replace("_", "").isalnum():
-            raise AnnealerError(
-                f"service name must be alphanumeric/-/_, got {name!r}"
-            )
+        check_label("service name", name)
         self.options = options if options is not None else EnsembleOptions()
         self.name = name
         self._jobs: Dict[str, Job] = {}
@@ -249,10 +251,7 @@ class AnnealingService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._admission: Optional[asyncio.Semaphore] = None
         self._job_threads: Optional[ThreadPoolExecutor] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        self._heal_budget_left = self.options.self_heal_budget
-        self._pool_rebuilds = 0
+        self._pool: Optional[WorkerPool] = None
         self._started = False
         self._closed = False
 
@@ -276,7 +275,7 @@ class AnnealingService:
     @property
     def pool_rebuilds(self) -> int:
         """Shared-pool rebuilds performed by self-healing so far."""
-        return self._pool_rebuilds
+        return self._pool.rebuilds if self._pool is not None else 0
 
     @property
     def inflight_jobs(self) -> int:
@@ -298,9 +297,10 @@ class AnnealingService:
         """Bind to the running loop and build the shared fabric.
 
         Idempotent; :meth:`submit` auto-starts.  With
-        ``max_workers > 1`` a shared ``ProcessPoolExecutor`` is
-        created; if that fails (sandbox, no ``fork``) jobs degrade to
-        the executor's serial fallback, exactly like the sync path.
+        ``max_workers > 1`` the service's :class:`WorkerPool` is
+        built; if the pool cannot start (sandbox, no ``fork``) jobs
+        degrade to the executor's serial fallback, exactly like the
+        sync path.
         """
         if self._closed:
             raise AnnealerError("service has been shut down; build a new one")
@@ -313,14 +313,9 @@ class AnnealingService:
             thread_name_prefix="repro-job",
         )
         if self.options.max_workers > 1:
-            try:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.options.max_workers
-                )
-            # Pool construction failure must degrade, not poison the
-            # service: jobs fall back to the serial path.
-            except Exception:  # repro-lint: ignore[RL005]
-                self._pool = None
+            self._pool = WorkerPool(
+                self.options.max_workers, self.options.self_heal_budget
+            )
         self._started = True
 
     async def submit(
@@ -409,8 +404,7 @@ class AnnealingService:
         if self._active:
             await asyncio.gather(*list(self._active), return_exceptions=True)
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+            self._pool.close()
         if self._job_threads is not None:
             # Joining the repro-job threads synchronously would stall
             # the event loop (and every other service on it) for as
@@ -519,7 +513,6 @@ class AnnealingService:
             worker_suffix=f"@{job.job_id}",
             cancel=job._cancel_event,
             breaker=breaker,
-            on_pool_broken=self._heal_pool,
         )
         telemetry.job_id = job.job_id
         if not results:
@@ -549,7 +542,7 @@ class AnnealingService:
 
         The service's pool width wins (the pool is shared); the
         request keeps its per-job knobs.  The dispatch wave is clamped
-        to ``max_inflight_per_job`` — with a borrowed pool the
+        to ``max_inflight_per_job`` — on the shared pool the
         executor's chunking *is* the in-flight cap, which is what
         keeps one huge ensemble from starving its siblings.
         """
@@ -557,43 +550,6 @@ class AnnealingService:
         cap = requested.effective_inflight_per_job
         chunk = min(requested.chunk_size or max(1, 2 * width), cap)
         return replace(requested, max_workers=width, chunk_size=chunk)
-
-    def _heal_pool(
-        self, broken: "ProcessPoolExecutor"
-    ) -> Optional["ProcessPoolExecutor"]:
-        """Replace the *shared* pool after a job observed it broken.
-
-        Called from job threads (the executor's ``on_pool_broken``
-        hook), so it serialises on a lock.  If a sibling job already
-        healed the pool (``broken`` is no longer the current one), the
-        healed pool is handed back without spending budget.  Otherwise
-        one unit of the service-lifetime ``self_heal_budget`` buys a
-        rebuild; with the budget spent the caller degrades to its
-        serial path and the shared pool stays down.
-        """
-        with self._pool_lock:
-            if self._closed:
-                return None
-            if self._pool is not None and self._pool is not broken:
-                return self._pool  # a sibling already healed it
-            if self._heal_budget_left <= 0:
-                self._pool = None
-                return None
-            self._heal_budget_left -= 1
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-            try:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.options.max_workers
-                )
-            # Rebuild failure degrades exactly like construction failure
-            # at start(): jobs fall back to the serial path.
-            except Exception:  # repro-lint: ignore[RL005]
-                self._pool = None
-                return None
-            self._pool_rebuilds += 1
-            return self._pool
 
 
 # ----------------------------------------------------------------------

@@ -301,9 +301,10 @@ class EnsembleTelemetry:
     service job; empty for direct :func:`solve_ensemble`-style calls.
     ``backend`` is the registry name of the solver backend the ensemble
     dispatched to (``"cluster-cim"`` by default).  ``pool_rebuilds``
-    counts worker-pool replacements the self-healing supervisor
-    performed while this ensemble ran (broken or hang-starved pools;
-    see ``docs/robustness.md``).
+    counts the heals of a broken or hang-starved worker pool this
+    ensemble asked for and got a working pool back from, including a
+    pool a sibling job had already rebuilt (see
+    ``docs/robustness.md``).
     """
 
     runs: List[RunTelemetry] = field(default_factory=list)

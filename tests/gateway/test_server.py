@@ -369,6 +369,24 @@ class TestHTTPErrors:
             assert status == 400
             assert "expected schema" in payload["message"]
 
+    async def test_tag_breaking_job_id_400(self, make_request):
+        from repro.gateway import encode_solve_request
+
+        async with GatewayServer(ShardRouter(shards=1)) as server:
+            wire = encode_solve_request(make_request())
+            # "team/a-0001" would be unreachable under /v1/jobs/<id>.
+            wire["tag"] = "team/a"
+            body = json.dumps(wire)
+            status, payload = await _raw_request(
+                server,
+                f"POST /v1/jobs HTTP/1.1\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n{body}",
+            )
+            assert status == 400
+            assert payload["schema"] == "repro.error/v1"
+            assert payload["error"] == "protocol"
+            assert "tag may use only" in payload["message"]
+
     async def test_oversized_body_413(self):
         async with GatewayServer(ShardRouter(shards=1)) as server:
             status, payload = await _raw_request(

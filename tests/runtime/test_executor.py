@@ -11,7 +11,7 @@ from repro.annealer.config import AnnealerConfig
 from repro.backends.cluster_cim import ClusterCIMBackend
 from repro.errors import AnnealerError
 from repro.ising.schedule import VddSchedule
-from repro.runtime.executor import EnsembleExecutor
+from repro.runtime.executor import EnsembleExecutor, WorkerPool
 from repro.runtime.faults import FaultPlan
 from repro.runtime.options import EnsembleOptions
 from repro.tsp.generators import random_uniform
@@ -321,11 +321,9 @@ class TestCompletionCallback:
         assert tel.runs[0].job_id == "job-0042"
 
 
-class TestBorrowedPool:
+class TestWorkerPool:
     def test_shared_pool_not_shut_down(self, instance):
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=2)
+        pool = WorkerPool(max_workers=2, budget=1)
         try:
             runner = EnsembleExecutor(EnsembleOptions(max_workers=2))
             r1, t1 = runner.run(instance, [1, 2], pool=pool)
@@ -334,13 +332,11 @@ class TestBorrowedPool:
             assert len(r1) == 2 and len(r2) == 1
             assert t1.mode == "parallel" and t2.mode == "parallel"
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.close()
 
-    def test_closed_borrowed_pool_degrades_serially(self, instance):
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=2)
-        pool.shutdown(wait=False, cancel_futures=True)
+    def test_closed_pool_degrades_serially(self, instance):
+        pool = WorkerPool(max_workers=2, budget=1)
+        pool.close()
         results, tel = EnsembleExecutor(EnsembleOptions(max_workers=2)).run(
             instance, [1, 2], pool=pool
         )

@@ -9,7 +9,8 @@ import pytest
 from repro.annealer.config import AnnealerConfig
 from repro.backends.cluster_cim import ClusterCIMBackend
 from repro.errors import AnnealerError
-from repro.runtime.executor import _PoolSupervisor
+from repro.ising.schedule import VddSchedule
+from repro.runtime.executor import EnsembleExecutor, WorkerPool
 from repro.runtime.faults import (
     Backoff,
     CircuitBreaker,
@@ -23,7 +24,12 @@ from repro.runtime.faults import (
     ShardFaultPlan,
     validate_result,
 )
+from repro.runtime.options import EnsembleOptions
 from repro.tsp.generators import random_uniform
+
+CHEAP = AnnealerConfig(
+    schedule=VddSchedule(total_iterations=40, iterations_per_step=10)
+)
 
 
 @pytest.fixture(scope="module")
@@ -269,64 +275,160 @@ class TestCircuitBreaker:
 
 
 class TestPoolSupervisor:
+    """:class:`WorkerPool`, the one supervisor of the process pool."""
+
     def test_hung_slot_reclaimed_when_worker_finishes(self):
-        supervisor = _PoolSupervisor(None, max_workers=2, budget=1)
-        fut: Future = Future()
-        fut.set_running_or_notify_cancel()
-        supervisor.note_hung(fut)
-        assert supervisor.hung_slots == 1
-        assert not supervisor.starved()
-        fut.set_result(None)  # hung worker eventually finished
-        assert supervisor.hung_slots == 0
-
-    def test_starved_when_all_slots_hung(self):
-        supervisor = _PoolSupervisor(None, max_workers=1, budget=1)
-        fut: Future = Future()
-        fut.set_running_or_notify_cancel()
-        supervisor.note_hung(fut)
-        assert supervisor.starved()
-
-    def test_owned_heal_bounded_by_budget(self):
-        supervisor = _PoolSupervisor(None, max_workers=1, budget=1)
-        assert supervisor.build()
-        try:
-            assert supervisor.heal()  # budget 1 -> 0
-            assert supervisor.rebuilds == 1
-            assert not supervisor.heal()  # budget exhausted
-            assert supervisor.rebuilds == 1
-        finally:
-            supervisor.shutdown()
-
-    def test_heal_resets_hung_accounting(self):
-        supervisor = _PoolSupervisor(None, max_workers=1, budget=2)
-        assert supervisor.build()
+        pool = WorkerPool(max_workers=2, budget=1)
         try:
             fut: Future = Future()
             fut.set_running_or_notify_cancel()
-            supervisor.note_hung(fut)
-            assert supervisor.starved()
-            assert supervisor.heal()
-            assert supervisor.hung_slots == 0 and not supervisor.starved()
+            pool.note_hung(fut)
+            assert pool.hung_slots == 1
+            assert not pool.starved()
+            fut.set_result(None)  # hung worker eventually finished
+            assert pool.hung_slots == 0
         finally:
-            supervisor.shutdown()
+            pool.close()
+
+    def test_starved_when_all_slots_hung(self):
+        pool = WorkerPool(max_workers=1, budget=1)
+        try:
+            fut: Future = Future()
+            fut.set_running_or_notify_cancel()
+            pool.note_hung(fut)
+            assert pool.starved()
+        finally:
+            pool.close()
+
+    def test_owned_heal_bounded_by_budget(self):
+        pool = WorkerPool(max_workers=1, budget=1)
+        try:
+            assert pool.executor is not None
+            assert pool.heal(pool.executor) is not None  # budget 1 -> 0
+            assert pool.rebuilds == 1
+            assert pool.heal(pool.executor) is None  # budget exhausted
+            assert pool.rebuilds == 1
+        finally:
+            pool.close()
+
+    def test_heal_resets_hung_accounting(self):
+        pool = WorkerPool(max_workers=1, budget=2)
+        try:
+            fut: Future = Future()
+            fut.set_running_or_notify_cancel()
+            pool.note_hung(fut)
+            assert pool.starved()
+            assert pool.heal(pool.executor) is not None
+            assert pool.hung_slots == 0 and not pool.starved()
+            # The hung run finishing on the abandoned pool must not
+            # free a slot that a hang on its replacement holds.
+            fresh: Future = Future()
+            fresh.set_running_or_notify_cancel()
+            pool.note_hung(fresh)
             fut.set_result(None)
+            assert pool.hung_slots == 1
+            fresh.set_result(None)
+        finally:
+            pool.close()
 
-    def test_borrowed_pool_heals_through_owner(self):
-        calls = []
+    def test_sibling_heal_handed_back_without_budget(self):
+        pool = WorkerPool(max_workers=2, budget=1)
+        try:
+            broken = pool.executor
+            healed = pool.heal(broken)  # the first run to see it break
+            assert healed is not None and healed is not broken
+            # A sibling that saw the same pool break gets the rebuilt
+            # one back; no budget is spent and no pool is built.
+            assert pool.heal(broken) is healed
+            assert pool.rebuilds == 1 and pool.budget_left == 0
+        finally:
+            pool.close()
 
-        def healer(broken):
-            calls.append(broken)
-            return None  # owner declines: budget spent
+    def test_concurrent_heals_and_hangs_keep_one_ledger(self):
+        # Many job threads hit one pool at once.  Every thread that saw
+        # the same pool break must get the one rebuilt pool back for a
+        # single unit of budget, and no hung-slot update may be lost.
+        import sys
+        import threading
 
-        sentinel = object()
-        supervisor = _PoolSupervisor(
-            sentinel, max_workers=2, budget=5, on_pool_broken=healer
-        )
-        assert not supervisor.owns_pool
-        assert not supervisor.heal()
-        assert calls == [sentinel]
-        assert supervisor.rebuilds == 0
+        rounds, width = 10, 16
+        pool = WorkerPool(max_workers=64, budget=rounds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for done in range(rounds):
+                broken = pool.executor
+                futures = [Future() for _ in range(width)]
+                healed = []
+                start = threading.Barrier(width)
 
-    def test_borrowed_pool_without_healer_degrades(self):
-        supervisor = _PoolSupervisor(object(), max_workers=2, budget=5)
-        assert not supervisor.heal()
+                def job(fut):
+                    start.wait(timeout=10)
+                    fut.set_running_or_notify_cancel()
+                    pool.note_hung(fut)
+                    fut.set_result(None)  # the hung run finishes
+                    healed.append(pool.heal(broken))
+
+                threads = [
+                    threading.Thread(target=job, args=(fut,))
+                    for fut in futures
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert pool.rebuilds == done + 1
+                assert pool.budget_left == rounds - done - 1
+                assert len(healed) == width
+                assert all(h is pool.executor for h in healed)
+                assert pool.hung_slots == 0
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+
+    def test_borrowed_pool_heals_through_owner(self, instance):
+        # A run dispatched into its owner's pool heals through the
+        # owner's ledger: the run's own ``self_heal_budget`` is not
+        # spent, so a spent owner budget degrades the run serially.
+        pool = WorkerPool(max_workers=2, budget=0)
+        try:
+            results, tel = EnsembleExecutor(
+                EnsembleOptions(
+                    max_workers=2,
+                    max_retries=1,
+                    backoff_base_s=0.001,
+                    backoff_cap_s=0.01,
+                    self_heal_budget=5,
+                    fault_plan=FaultPlan(seed=3, broken_pool_rate=1.0),
+                )
+            ).run(instance, [0, 1], config=CHEAP, pool=pool)
+            assert tel.n_failed == 0 and len(results) == 2
+            assert tel.mode == "serial-fallback"
+            assert tel.pool_rebuilds == 0
+            assert pool.rebuilds == 0 and pool.executor is None
+        finally:
+            pool.close()
+
+    def test_borrowed_pool_without_healer_degrades(self, instance):
+        # Once the owner's pool is down for good, a later run handed it
+        # degrades to the serial loop instead of building its own pool.
+        pool = WorkerPool(max_workers=2, budget=0)
+        try:
+            assert pool.heal(pool.executor) is None  # budget spent
+            results, tel = EnsembleExecutor(
+                EnsembleOptions(max_workers=2)
+            ).run(instance, [0, 1], config=CHEAP, pool=pool)
+            assert tel.n_failed == 0 and len(results) == 2
+            assert tel.mode == "serial-fallback"
+            assert pool.executor is None and pool.rebuilds == 0
+        finally:
+            pool.close()
+
+    def test_closed_pool_declines_heals(self):
+        pool = WorkerPool(max_workers=2, budget=5)
+        executor = pool.executor
+        pool.close()
+        assert pool.executor is None
+        assert pool.heal(executor) is None
+        assert pool.rebuilds == 0 and pool.budget_left == 5

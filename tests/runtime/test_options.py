@@ -78,3 +78,19 @@ class TestSolveRequest:
 
     def test_range_accepted(self, instance):
         assert SolveRequest.build(instance, range(4)).seeds == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("tag", ["team/a", "a b", "x?y", "café", "a@b"])
+    def test_tag_outside_job_id_alphabet_rejected(self, instance, tag):
+        # The tag becomes part of the job id (URL path, worker field).
+        with pytest.raises(AnnealerError, match="tag may use only"):
+            SolveRequest.build(instance, [1], tag=tag)
+
+    def test_tag_alphabet_accepted(self, instance):
+        assert SolveRequest.build(instance, [1], tag="Team_a-9").tag == "Team_a-9"
+        assert SolveRequest.build(instance, [1]).tag == ""
+
+    def test_service_name_shares_the_rule(self):
+        from repro.runtime.service import AnnealingService
+
+        with pytest.raises(AnnealerError, match="service name may use only"):
+            AnnealingService(name="shard/0")

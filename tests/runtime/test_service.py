@@ -5,27 +5,36 @@ loop.  Deterministic streaming/admission tests gate the cluster-cim
 backend's per-seed solve (``ClusterCIMBackend.solve``) with threading
 events — that only works with ``max_workers=1`` (in-process
 dispatch), which is also what keeps them timing-independent.  The
-shared-pool test at the end exercises the real process pool without
+shared-pool tests at the end exercise the real process pool without
 gates.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import threading
 
 import numpy as np
 import pytest
 
 from repro.annealer.batch import solve_ensemble
+from repro.annealer.config import AnnealerConfig
 from repro.backends.cluster_cim import ClusterCIMBackend
 from repro.errors import AnnealerError
+from repro.ising.schedule import VddSchedule
+from repro.runtime.faults import FaultPlan
 from repro.runtime.options import EnsembleOptions, SolveRequest
 from repro.runtime.service import AnnealingService, Job, JobState
 from repro.tsp.generators import random_uniform
 
 #: Generous guard so a bug hangs a test, not the whole suite.
 WAIT = 60.0
+
+#: A short anneal for the pool tests, where only dispatch is under test.
+CHEAP = AnnealerConfig(
+    schedule=VddSchedule(total_iterations=40, iterations_per_step=10)
+)
 
 
 @pytest.fixture(scope="module")
@@ -496,3 +505,86 @@ class TestSharedPool:
                 for x, y in zip(served.results, serial.results)
             )
         assert result_a.telemetry.max_workers == 2
+
+
+class TestOnePoolOwner:
+    """Every job on a service shares its one pool: one build, one heal
+    budget and one hung-slot count for the service's lifetime."""
+
+    async def test_spent_budget_sends_later_jobs_serial(
+        self, small_instance, monkeypatch
+    ):
+        built = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", CountingPool
+        )
+        retry = dict(max_retries=2, backoff_base_s=0.0)
+        broken = FaultPlan(seed=4, broken_pool_rate=1.0)
+        options = EnsembleOptions(max_workers=2, self_heal_budget=0)
+        async with AnnealingService(options) as service:
+            first = await service.submit(
+                SolveRequest.build(
+                    small_instance,
+                    [1, 2],
+                    config=CHEAP,
+                    options=EnsembleOptions(fault_plan=broken, **retry),
+                )
+            )
+            await asyncio.wait_for(first.result(), WAIT)
+            later = []
+            for seed in (3, 4, 5):
+                job = await service.submit(
+                    SolveRequest.build(
+                        small_instance,
+                        [seed],
+                        config=CHEAP,
+                        options=EnsembleOptions(**retry),
+                    )
+                )
+                later.append(await asyncio.wait_for(job.result(), WAIT))
+        # The broken pool spent the budget of 0 and stays down: later
+        # jobs run serially instead of each building a private pool.
+        assert [r.telemetry.mode for r in later] == ["serial-fallback"] * 3
+        assert len(built) == 1
+        assert service.pool_rebuilds == 0
+
+    async def test_hung_slots_count_across_jobs(self, small_instance):
+        hang = FaultPlan(seed=2, hang_rate=1.0, hang_s=2.0)
+        timeouts = dict(timeout_s=0.5, max_retries=1, backoff_base_s=0.0)
+        async with AnnealingService(EnsembleOptions(max_workers=2)) as service:
+            hung = [
+                await service.submit(
+                    SolveRequest.build(
+                        small_instance,
+                        [seed],
+                        config=CHEAP,
+                        options=EnsembleOptions(fault_plan=hang, **timeouts),
+                        tag="hung",
+                    )
+                )
+                for seed in (1, 2)
+            ]
+            for job in hung:
+                await asyncio.wait_for(job.result(), WAIT)
+            # Each job left one hung slot; together they starve the
+            # 2-worker pool, so the next job heals it before dispatch
+            # instead of timing out behind the hung workers.
+            clean = await service.submit(
+                SolveRequest.build(
+                    small_instance,
+                    [3, 4, 5, 6],
+                    config=CHEAP,
+                    options=EnsembleOptions(**timeouts),
+                    tag="clean",
+                )
+            )
+            result = await asyncio.wait_for(clean.result(), WAIT)
+        runs = result.telemetry.runs
+        assert [r.retries for r in runs] == [0, 0, 0, 0]
+        assert all(r.worker.startswith("pool@") for r in runs)

@@ -436,6 +436,13 @@ class TestServeSubmitFlags:
         )
         assert default.deadline is None
 
+    @pytest.mark.parametrize("command", [["submit"], ["problems", "submit"]])
+    def test_submit_bad_tag_exits_2(self, command, capsys):
+        assert main(
+            command + ["--url", "http://127.0.0.1:9", "--tag", "team/a"]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: tag may use only")
+
     def test_submit_non_numeric_deadline_exits(self):
         from repro.cli import _build_parser
 

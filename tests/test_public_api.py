@@ -89,6 +89,7 @@ class TestPublicAPI:
             "ShardFaultKind",
             "ShardFaultPlan",
             "SolveRequest",
+            "WorkerPool",
             "solve_async",
             "solve_sync",
         ]
