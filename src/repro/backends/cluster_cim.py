@@ -27,28 +27,6 @@ from repro.runtime.telemetry import RunResultLike
 
 if TYPE_CHECKING:
     from repro.annealer.config import AnnealerConfig
-    from repro.problems.qubo import QUBOProblem
-
-
-def _solve_qubo_chromatic(
-    problem: "QUBOProblem", seed: int
-) -> RunResultLike:
-    """One op-counted chromatic-Gibbs anneal (module-level: RL003)."""
-    import numpy as np
-
-    from repro.backends.base import BackendRunResult
-    from repro.problems.solvers import anneal_qubo_chromatic
-    from repro.runtime.telemetry import Stopwatch
-
-    watch = Stopwatch()
-    outcome = anneal_qubo_chromatic(problem, seed=int(seed))
-    return BackendRunResult(
-        tour=np.asarray(outcome.bits, dtype=np.int64),
-        length=float(outcome.energy),
-        wall_time_s=watch.elapsed_s(),
-        ops=outcome.history.final_totals(),
-        history=outcome.history,
-    )
 
 
 @register_backend(DEFAULT_BACKEND)
@@ -90,11 +68,13 @@ class ClusterCIMBackend(SolverBackend):
 
     def solve(self, plan: BackendPlan, seed: int) -> RunResultLike:
         from repro.annealer.hierarchical import ClusteredCIMAnnealer
+        from repro.backends.qubo_support import solve_qubo
         from repro.problems.qubo import QUBOProblem
+        from repro.problems.solvers import anneal_qubo_chromatic
         from repro.tsp.instance import TSPInstance
 
         if isinstance(plan.problem, QUBOProblem):
-            return _solve_qubo_chromatic(plan.problem, seed)
+            return solve_qubo(anneal_qubo_chromatic, plan.problem, seed)
         assert isinstance(plan.problem, TSPInstance)
         assert plan.config is not None
         cfg = replace(plan.config, seed=int(seed))

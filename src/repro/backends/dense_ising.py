@@ -28,29 +28,9 @@ from repro.runtime.telemetry import RunResultLike, Stopwatch
 
 if TYPE_CHECKING:
     from repro.annealer.config import AnnealerConfig
-    from repro.problems.qubo import QUBOProblem
 
 #: The dense mapping's hard size limit (N² spins, dense J).
 MAX_DENSE_CITIES = 64
-
-
-def _solve_qubo_sequential(
-    problem: "QUBOProblem", seed: int
-) -> RunResultLike:
-    """One op-counted sequential-Gibbs anneal (module-level: RL003)."""
-    import numpy as np
-
-    from repro.problems.solvers import anneal_qubo_sequential
-
-    watch = Stopwatch()
-    outcome = anneal_qubo_sequential(problem, seed=int(seed))
-    return BackendRunResult(
-        tour=np.asarray(outcome.bits, dtype=np.int64),
-        length=float(outcome.energy),
-        wall_time_s=watch.elapsed_s(),
-        ops=outcome.history.final_totals(),
-        history=outcome.history,
-    )
 
 
 @register_backend("dense-ising")
@@ -87,12 +67,14 @@ class DenseIsingBackend(SolverBackend):
         return BackendPlan(backend="dense-ising", problem=problem)
 
     def solve(self, plan: BackendPlan, seed: int) -> RunResultLike:
+        from repro.backends.qubo_support import solve_qubo
         from repro.ising.dense_annealer import anneal_dense_tsp
         from repro.problems.qubo import QUBOProblem
+        from repro.problems.solvers import anneal_qubo_sequential
         from repro.tsp.instance import TSPInstance
 
         if isinstance(plan.problem, QUBOProblem):
-            return _solve_qubo_sequential(plan.problem, seed)
+            return solve_qubo(anneal_qubo_sequential, plan.problem, seed)
         assert isinstance(plan.problem, TSPInstance)
         watch = Stopwatch()
         annealed = anneal_dense_tsp(plan.problem, seed=int(seed))

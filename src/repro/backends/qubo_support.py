@@ -1,25 +1,46 @@
 """Shared QUBO-plan plumbing for the registered solver backends.
 
 Every backend that accepts the ``qubo`` problem kind goes through the
-same three hooks: the worker-side integrity gate (recompute the energy
-from the bits), the quality reference (deterministic seeded greedy
-descent, the QUBO analogue of the TSP nearest-neighbour baseline), and
-the human-readable decode (bits + energy + the op-count totals the
-instrumented kernels attach).  Keeping them here means a new backend
-adds QUBO support with three one-line delegations — see
-``docs/backends.md``.
+same four hooks: the solve (one :mod:`repro.problems.solvers` kernel
+wrapped as a run result carrying its op counts), the worker-side
+integrity gate (recompute the energy from the bits), the quality
+reference (deterministic seeded greedy descent, the QUBO analogue of
+the TSP nearest-neighbour baseline), and the human-readable decode
+(bits + energy + the op-count totals the kernels attach).  Keeping
+them here means a new backend adds QUBO support with four one-line
+delegations — see ``docs/backends.md``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING, Any, Callable, Dict
 
 import numpy as np
 
-from repro.runtime.telemetry import RunResultLike
+from repro.backends.base import BackendRunResult
+from repro.runtime.telemetry import RunResultLike, Stopwatch
 
 if TYPE_CHECKING:
     from repro.problems.qubo import QUBOProblem
+    from repro.problems.solvers import QUBOAnnealOutcome
+
+
+def solve_qubo(
+    solver: Callable[..., "QUBOAnnealOutcome"],
+    problem: "QUBOProblem",
+    seed: int,
+) -> RunResultLike:
+    """One op-counted ``solver(problem, seed=...)`` run as a run result
+    (module-level so it stays pickle-safe: RL003)."""
+    watch = Stopwatch()
+    outcome = solver(problem, seed=int(seed))
+    return BackendRunResult(
+        tour=np.asarray(outcome.bits, dtype=np.int64),
+        length=float(outcome.energy),
+        wall_time_s=watch.elapsed_s(),
+        ops=outcome.history.final_totals(),
+        history=outcome.history,
+    )
 
 
 def validate_qubo_result(

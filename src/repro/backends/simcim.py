@@ -5,10 +5,10 @@ Wraps :func:`repro.ising.simcim.simcim_optimize` behind the
 Ising models submitted straight through ``SolveRequest`` and the
 gateway.  No quality reference exists for arbitrary spin glasses, so
 ``reference`` stays 0.0 and optimal ratios read 0.0 by convention.
-Compiled QUBO plans (:mod:`repro.problems`) relax through the
-op-counted SimCIM mirror kernel on the problem's Ising form and score
-in QUBO energy, with the greedy-descent reference every QUBO-capable
-backend shares.
+Compiled QUBO plans (:mod:`repro.problems`) relax through the same
+:func:`~repro.ising.simcim.simcim_optimize`, op-counted, on the
+problem's Ising form and score in QUBO energy, with the greedy-descent
+reference every QUBO-capable backend shares.
 """
 
 from __future__ import annotations
@@ -30,22 +30,6 @@ from repro.runtime.telemetry import RunResultLike, Stopwatch
 
 if TYPE_CHECKING:
     from repro.annealer.config import AnnealerConfig
-    from repro.problems.qubo import QUBOProblem
-
-
-def _solve_qubo_simcim(problem: "QUBOProblem", seed: int) -> RunResultLike:
-    """One op-counted SimCIM relaxation (module-level: RL003)."""
-    from repro.problems.solvers import relax_qubo_simcim
-
-    watch = Stopwatch()
-    outcome = relax_qubo_simcim(problem, seed=int(seed))
-    return BackendRunResult(
-        tour=np.asarray(outcome.bits, dtype=np.int64),
-        length=float(outcome.energy),
-        wall_time_s=watch.elapsed_s(),
-        ops=outcome.history.final_totals(),
-        history=outcome.history,
-    )
 
 
 @register_backend("simcim")
@@ -80,12 +64,14 @@ class SimCIMBackend(SolverBackend):
         return BackendPlan(backend="simcim", problem=problem)
 
     def solve(self, plan: BackendPlan, seed: int) -> RunResultLike:
+        from repro.backends.qubo_support import solve_qubo
         from repro.ising.model import IsingModel
         from repro.ising.simcim import simcim_optimize
         from repro.problems.qubo import QUBOProblem
+        from repro.problems.solvers import relax_qubo_simcim
 
         if isinstance(plan.problem, QUBOProblem):
-            return _solve_qubo_simcim(plan.problem, seed)
+            return solve_qubo(relax_qubo_simcim, plan.problem, seed)
         assert isinstance(plan.problem, IsingModel)
         watch = Stopwatch()
         relaxed = simcim_optimize(plan.problem, seed=int(seed))

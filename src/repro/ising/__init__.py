@@ -11,10 +11,16 @@ Implements the paper's Sec. II background from scratch:
 * sequential and chromatic-parallel Gibbs sweeps;
 * annealing schedules (temperature for software SA, V_DD for the
   noisy-SRAM annealer);
-* a software SA Ising solver used as the small-problem baseline.
+* a software SA Ising solver used as the small-problem baseline;
+* the SimCIM mean-field optimizer.
+
+:func:`gibbs_sweep` and :func:`simcim_optimize` are the one
+implementation of their algorithms: given an optional
+:class:`~repro.problems.opcount.OpCounter` they also charge the MACs,
+RNG draws and spin flips they spend, which is how the QUBO solvers of
+:mod:`repro.problems.solvers` report op counts.
 """
 
-from repro.ising.batched import batched_gibbs_sweep, replica_rngs
 from repro.ising.dense_annealer import (
     DenseAnnealResult,
     DenseTSPAnnealParams,
@@ -57,8 +63,6 @@ __all__ = [
     "PermutationState",
     "swap_delta_energy",
     "gibbs_sweep",
-    "batched_gibbs_sweep",
-    "replica_rngs",
     "chromatic_groups",
     "stable_sigmoid",
     "boltzmann_accept_probability",

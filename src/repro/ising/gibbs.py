@@ -8,13 +8,15 @@ cycle — cluster c only interacts with c-1 and c+1 — so two colours
 suffice: all odd clusters update in one phase, all even clusters in the
 other.  :func:`chromatic_groups` computes that colouring for a general
 interaction graph (greedy colouring, exact 2-colouring for cycles);
-:func:`gibbs_sweep` runs a temperature-annealed sweep on a dense
-:class:`IsingModel` (used by the software baseline and tests).
+:func:`gibbs_sweep` runs one sequential sweep on a dense
+:class:`IsingModel` — the one sequential Gibbs kernel, shared by the
+dense TSP annealer and the op-counted QUBO solver
+(:func:`repro.problems.solvers.anneal_qubo_sequential`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +24,9 @@ from repro.errors import IsingError
 from repro.ising.model import IsingModel
 from repro.ising.numerics import stable_sigmoid
 from repro.utils.rng import SeedLike, spawn_rng
+
+if TYPE_CHECKING:
+    from repro.problems.opcount import OpCounter
 
 
 def chromatic_groups(
@@ -82,37 +87,70 @@ def gibbs_sweep(
     temperature: float,
     seed: SeedLike = None,
     order: Optional[np.ndarray] = None,
+    ops: Optional["OpCounter"] = None,
 ) -> np.ndarray:
     """One full Gibbs sweep over a dense Ising model.
 
     Each spin is resampled from its conditional Boltzmann distribution
-    at ``temperature``.  Returns a new spin array (input untouched).
-    Temperature 0 degenerates to greedy (deterministic sign/threshold).
+    at ``temperature``, in index order or in the given ``order`` (a
+    sequence of integer spin indices).  Returns a new spin array (input
+    untouched).  Temperature 0 degenerates to greedy (deterministic
+    sign/threshold; a uniform draw breaks exact ties only).
+
+    ``ops`` is charged ``nnz(row) + 1`` MACs per visited spin, one RNG
+    draw per draw taken and one spin flip per spin that changed value;
+    it never alters the sweep or its RNG consumption.
     """
     if temperature < 0:
         raise IsingError(f"temperature must be >= 0, got {temperature}")
     rng = spawn_rng(seed)
     s = model.validate_state(spins).copy()
-    idx = np.arange(model.n_spins) if order is None else np.asarray(order)
-    for i in idx:
-        i = int(i)
+    n = model.n_spins
+    idx = np.arange(n) if order is None else _check_order(order, n)
+    J, h = model.couplings, model.field
+    pm1 = model.convention == "pm1"
+    down = -1.0 if pm1 else 0.0
+    draws = flips = 0
+    for i in idx.tolist():
         # Energy difference between σᵢ = up vs down state.
-        field = 2.0 * float(model.couplings[i] @ s) + float(model.field[i])
-        if model.convention == "pm1":
-            # H(up) - H(down) = -2·field  → p(up) = 1/(1+exp(-2f/T))
-            gap = 2.0 * field
+        field = 2.0 * float(J[i] @ s) + float(h[i])
+        # pm1: H(up) - H(down) = -2·field → p(up) = 1/(1+exp(-2f/T));
+        # 01:  H(1)  - H(0)    = -field   → p(1)  = 1/(1+exp(-f/T)).
+        gap = 2.0 * field if pm1 else field
+        if temperature == 0 and gap != 0:
+            take_up = gap > 0
         else:
-            # H(1) - H(0) = -field       → p(1)  = 1/(1+exp(-f/T))
-            gap = field
-        if temperature == 0:
-            take_up = gap > 0 or (gap == 0 and rng.random() < 0.5)
-        else:
-            # Stable sigmoid: naive 1/(1+exp(-gap/T)) overflows for
-            # large |gap| or tiny T.
-            p_up = stable_sigmoid(gap / temperature)
+            # Exact ties at T = 0 are a fair coin.  Stable sigmoid:
+            # naive 1/(1+exp(-gap/T)) overflows for large |gap| or tiny T.
+            p_up = (
+                0.5 if temperature == 0 else stable_sigmoid(gap / temperature)
+            )
+            draws += 1
             take_up = rng.random() < p_up
-        if model.convention == "pm1":
-            s[i] = 1.0 if take_up else -1.0
-        else:
-            s[i] = 1.0 if take_up else 0.0
+        new = 1.0 if take_up else down
+        if new != s[i]:
+            s[i] = new
+            flips += 1
+    if ops is not None:
+        row_nnz = np.count_nonzero(J, axis=1)
+        ops.mac(int(row_nnz[idx].sum()) + idx.size)
+        ops.rng_draw(draws)
+        ops.spin_flip(flips)
     return s
+
+
+def _check_order(order: np.ndarray, n_spins: int) -> np.ndarray:
+    """Visit order as an int array; non-integer or out-of-range
+    entries are rejected instead of truncated or wrapped."""
+    idx = np.asarray(order)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise IsingError(
+            f"order must be a 1-D sequence of integer spin indices, got "
+            f"dtype {idx.dtype} with shape {idx.shape}"
+        )
+    bad = idx[(idx < 0) | (idx >= n_spins)]
+    if bad.size:
+        raise IsingError(
+            f"order entry {int(bad[0])} out of range for {n_spins} spins"
+        )
+    return idx

@@ -97,11 +97,11 @@ class IsingModel:
             raise IsingError(
                 f"state must have shape ({self.n_spins},), got {s.shape}"
             )
-        allowed = {-1.0, 1.0} if self._convention == "pm1" else {0.0, 1.0}
-        values = set(np.unique(s).tolist())
-        if not values <= allowed:
+        low = -1.0 if self._convention == "pm1" else 0.0
+        if not np.all((s == low) | (s == 1.0)):
+            values = np.unique(s).tolist()
             raise IsingError(
-                f"state values {sorted(values)} invalid for convention "
+                f"state values {values} invalid for convention "
                 f"{self._convention!r}"
             )
         return s

@@ -22,13 +22,16 @@ the energy means following ``+2ζ(Ja) + ζh``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import IsingError
 from repro.ising.model import IsingModel
 from repro.utils.rng import SeedLike, spawn_rng
+
+if TYPE_CHECKING:
+    from repro.problems.opcount import History, OpCounter
 
 
 @dataclass(frozen=True)
@@ -79,11 +82,16 @@ class SimCIMParams:
 
 @dataclass
 class SimCIMResult:
-    """Result of one SimCIM relaxation."""
+    """Result of one SimCIM relaxation.
+
+    ``history`` is recorded only when an ``ops`` counter was given: the
+    ``trace`` points with the cumulative op counts spent to reach them.
+    """
 
     spins: np.ndarray
     energy: float
     trace: List[Tuple[int, float]] = field(default_factory=list)
+    history: Optional["History"] = None
 
 
 def simcim_optimize(
@@ -92,12 +100,19 @@ def simcim_optimize(
     params: Optional[SimCIMParams] = None,
     seed: SeedLike = None,
     record_every: int = 0,
+    ops: Optional["OpCounter"] = None,
 ) -> SimCIMResult:
     """Relax ``model`` (±1 convention) with SimCIM mean-field dynamics.
 
     Returns the best state seen: the sign pattern of the amplitudes is
     scored every ``record_every`` steps (and always at the end), and
     the lowest-energy snapshot wins.
+
+    ``ops`` is charged ``nnz(J) + 2n`` MACs per step (the ``J @ a``
+    injection plus the pump and field adds), ``n`` RNG draws per noisy
+    step, and one spin flip per amplitude sign change; each trace point
+    then also lands in ``result.history``.  The counter never alters
+    the dynamics or their RNG consumption.
     """
     if model.convention != "pm1":
         raise IsingError(
@@ -116,6 +131,13 @@ def simcim_optimize(
         sigma_j = float(np.sqrt((J**2).sum() / max(1, n * (n - 1))))
         zeta = 0.5 / (sigma_j * np.sqrt(n)) if sigma_j > 0 else 0.5
 
+    # Deferred: repro.problems imports this module.
+    from repro.problems.opcount import History
+
+    history = History()
+    step_macs = int(np.count_nonzero(J)) + 2 * n
+    signs = np.ones(n)
+
     amplitudes = np.zeros(n)
     best_spins = np.ones(n)
     best_energy = model.energy(best_spins)
@@ -132,11 +154,20 @@ def simcim_optimize(
         if noise_scale:
             amplitudes = amplitudes + noise_scale * rng.standard_normal(n)
         np.clip(amplitudes, -1.0, 1.0, out=amplitudes)
+        if ops is not None:
+            ops.mac(step_macs)
+            if noise_scale:
+                ops.rng_draw(n)
+            new_signs = _spins_of(amplitudes)
+            ops.spin_flip(int((new_signs != signs).sum()))
+            signs = new_signs
 
         if record_every and step % record_every == 0:
             spins = _spins_of(amplitudes)
             energy = model.energy(spins)
             trace.append((step, energy))
+            if ops is not None:
+                history.record(step, energy, ops)
             if energy < best_energy:
                 best_energy, best_spins = energy, spins
 
@@ -146,7 +177,14 @@ def simcim_optimize(
         best_energy, best_spins = energy, spins
     if record_every:
         trace.append((params.n_steps, best_energy))
-    return SimCIMResult(spins=best_spins, energy=best_energy, trace=trace)
+        if ops is not None:
+            history.record(params.n_steps, best_energy, ops)
+    return SimCIMResult(
+        spins=best_spins,
+        energy=best_energy,
+        trace=trace,
+        history=history if ops is not None else None,
+    )
 
 
 def _spins_of(amplitudes: np.ndarray) -> np.ndarray:

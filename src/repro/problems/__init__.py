@@ -14,8 +14,8 @@ the HTTP gateway can serve.  The subsystem has four layers:
   each with ``to_qubo`` / ``decode`` / ``encode`` / feasibility
   checks and a deterministic reference baseline;
 * :mod:`repro.problems.opcount` + :mod:`repro.problems.solvers` — the
-  op-counting instrumentation and the instrumented kernels behind the
-  Table-I style ``BENCH_workloads.json`` comparisons.
+  op counters and the op-counted QUBO solvers behind the Table-I style
+  ``BENCH_workloads.json`` comparisons.
 
 :data:`FAMILIES` maps family names to seeded generators so the CLI and
 the CI smoke tests can mint an instance of any family from

@@ -1,27 +1,29 @@
-"""Op-counted QUBO solver kernels shared by the serving backends.
+"""Op-counted QUBO solvers shared by the serving backends.
 
-Three kernels, one per registered backend's solving style, all
-instrumented with the :mod:`repro.problems.opcount` layer so Table-I
-style algorithmic-cost comparisons work on every workload:
+Three solvers, one per registered backend's solving style, each
+reporting the :mod:`repro.problems.opcount` counters of the kernel that
+actually ran, so Table-I style algorithmic-cost comparisons work on
+every workload:
 
 * :func:`anneal_qubo_sequential` — temperature-annealed sequential
-  Gibbs sampling directly on the 0/1 bits (``dense-ising``'s style);
+  Gibbs sampling (``dense-ising``'s style): the QUBO as a ``"01"``
+  :class:`~repro.ising.model.IsingModel`, one
+  :func:`~repro.ising.gibbs.gibbs_sweep` per temperature;
 * :func:`anneal_qubo_chromatic` — chromatic-parallel Gibbs: the QUBO's
   interaction graph is greedily colored and each independent set
   updates simultaneously, the paper's odd/even cluster trick
   generalised (``cluster-cim``'s style);
-* :func:`relax_qubo_simcim` — the mean-field SimCIM dynamics of
-  :mod:`repro.ising.simcim` run on the compiled Ising form, with MAC /
-  RNG / sign-flip counts recorded per step (``simcim``'s style).
+* :func:`relax_qubo_simcim` — :func:`~repro.ising.simcim.simcim_optimize`
+  on the compiled Ising form (``simcim``'s style).
 
 Gibbs update rule on a QUBO: toggling bit ``i`` changes the energy by
 ``field_i = q_ii + Σ_{j≠i} q_(ij) x_j`` when going 0→1, so the
 conditional Boltzmann probability is ``p(x_i=1) = σ(−field_i / T)``
 (computed with the numerically stable sigmoid, RL001).  MAC counts
-charge the sparse row work ``nnz(row i)`` per field evaluation; RNG
-draws charge one uniform per resampled bit; spin flips count bits that
-actually changed value.  All kernels are deterministic for a given
-seed.
+charge the sparse row work ``nnz(row i) + 1`` per field evaluation;
+RNG draws charge one uniform per resampled bit; spin flips count bits
+that actually changed value.  All solvers are deterministic for a
+given seed.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ReproError
-from repro.ising.gibbs import chromatic_groups
+from repro.ising.gibbs import chromatic_groups, gibbs_sweep
+from repro.ising.model import IsingModel
 from repro.ising.numerics import stable_sigmoid
-from repro.ising.simcim import SimCIMParams
+from repro.ising.simcim import SimCIMParams, simcim_optimize
 from repro.problems.opcount import History, OpCounter
 from repro.problems.qubo import QUBOProblem
 from repro.utils.rng import SeedLike, spawn_rng
@@ -101,32 +104,29 @@ def anneal_qubo_sequential(
     seed: SeedLike = None,
     record_every: int = 10,
 ) -> QUBOAnnealOutcome:
-    """Sequential Gibbs annealing over the bits, one at a time."""
+    """Sequential Gibbs annealing over the bits, one at a time.
+
+    The QUBO becomes a ``"01"`` Ising model with ``J = -pair / 2`` and
+    ``h = -diag``, whose Gibbs gap is exactly ``-field_i``; each
+    temperature of the cooling schedule is one :func:`gibbs_sweep`.
+    """
     _check_schedule(n_sweeps, t_start, t_end, record_every)
     rng = spawn_rng(seed)
-    diag, pair, row_cost = _split_matrix(problem)
+    diag, pair, _ = _split_matrix(problem)
+    model = IsingModel(-pair / 2.0, -diag, convention="01")
     n = problem.n_vars
     ops = OpCounter()
     history = History()
 
     x = rng.integers(0, 2, size=n).astype(np.float64)
     ops.rng_draw(n)
-    energy = problem.energy(x)
     for sweep, temperature in enumerate(
         _temperatures(n_sweeps, t_start, t_end)
     ):
-        for i in range(n):
-            field = float(diag[i]) + float(pair[i] @ x)
-            ops.mac(int(row_cost[i]))
-            p_one = stable_sigmoid(-field / temperature)
-            new = 1.0 if rng.random() < p_one else 0.0
-            ops.rng_draw()
-            if new != x[i]:
-                energy += (new - x[i]) * field
-                x[i] = new
-                ops.spin_flip()
+        x = gibbs_sweep(model, x, temperature, seed=rng, ops=ops)
         if sweep % record_every == 0:
-            history.record(sweep, energy, ops)
+            history.record(sweep, problem.energy(x), ops)
+    energy = problem.energy(x)
     history.record(n_sweeps, energy, ops)
     return QUBOAnnealOutcome(x, energy, history)
 
@@ -188,63 +188,25 @@ def relax_qubo_simcim(
 ) -> QUBOAnnealOutcome:
     """SimCIM mean-field relaxation on the compiled Ising form.
 
-    Mirrors :func:`repro.ising.simcim.simcim_optimize` step for step
-    (same dynamics, same RNG consumption) while charging MACs for the
-    dense ``J @ a`` injection, RNG draws for the per-step noise, and
-    spin flips for amplitude sign changes.  Returns the best bit
-    pattern seen, scored in QUBO energy (``H + ising_offset``).
+    Runs :func:`simcim_optimize` with an op counter and returns the
+    best bit pattern seen, scored in QUBO energy (``H + ising_offset``).
     """
     if record_every < 1:
         raise ReproError(f"record_every must be >= 1, got {record_every}")
-    params = params or SimCIMParams()
     model, ising_offset = problem.to_ising()
-    rng = spawn_rng(seed)
-    j = model.couplings
-    h = model.field
-    n = model.n_spins
-    ops = OpCounter()
-    history = History()
-
-    zeta = params.coupling_scale
-    if zeta is None:
-        sigma_j = float(np.sqrt((j**2).sum() / max(1, n * (n - 1))))
-        zeta = 0.5 / (sigma_j * np.sqrt(n)) if sigma_j > 0 else 0.5
-    j_cost = int(np.count_nonzero(j)) + 2 * n  # J@a plus pump and field adds
-
-    amplitudes = np.zeros(n)
-    signs = np.ones(n)
-    best_spins = np.ones(n)
-    best_energy = model.energy(best_spins)
-    pump_span = params.pump_end - params.pump_start
-    noise_scale = params.noise_sigma * np.sqrt(params.dt)
-
-    for step in range(params.n_steps):
-        pump = params.pump_start + pump_span * step / params.n_steps
-        drive = pump * amplitudes + zeta * (2.0 * (j @ amplitudes) + h)
-        amplitudes = amplitudes + params.dt * drive
-        ops.mac(j_cost)
-        if noise_scale:
-            amplitudes = amplitudes + noise_scale * rng.standard_normal(n)
-            ops.rng_draw(n)
-        np.clip(amplitudes, -1.0, 1.0, out=amplitudes)
-
-        new_signs = np.sign(amplitudes)
-        new_signs[new_signs == 0] = 1.0
-        ops.spin_flip(int((new_signs != signs).sum()))
-        signs = new_signs
-
-        if step % record_every == 0:
-            energy = model.energy(signs)
-            history.record(step, energy + ising_offset, ops)
-            if energy < best_energy:
-                best_energy, best_spins = energy, signs.copy()
-
-    energy = model.energy(signs)
-    if energy <= best_energy:
-        best_energy, best_spins = energy, signs.copy()
-    history.record(params.n_steps, best_energy + ising_offset, ops)
-    bits = QUBOProblem.spins_to_bits(best_spins)
-    return QUBOAnnealOutcome(bits, best_energy + ising_offset, history)
+    relaxed = simcim_optimize(
+        model,
+        params=params,
+        seed=seed,
+        record_every=record_every,
+        ops=OpCounter(),
+    )
+    history = relaxed.history
+    assert history is not None
+    for record in history.records:
+        record["energy"] = float(record["energy"] + ising_offset)
+    bits = QUBOProblem.spins_to_bits(relaxed.spins)
+    return QUBOAnnealOutcome(bits, relaxed.energy + ising_offset, history)
 
 
 def greedy_qubo_descent(

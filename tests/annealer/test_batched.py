@@ -16,9 +16,11 @@ from repro.annealer.batched import batchable_config, solve_batch
 from repro.annealer.config import AnnealerConfig, NoiseSource, NoiseTarget
 from repro.annealer.hierarchical import ClusteredCIMAnnealer
 from repro.errors import AnnealerError
+from repro.ising.numerics import stable_sigmoid
 from repro.runtime.executor import EnsembleExecutor
 from repro.runtime.options import EnsembleOptions
 from repro.tsp.generators import random_clustered
+from repro.utils.rng import spawn_rng
 
 from dataclasses import replace
 
@@ -167,3 +169,24 @@ class TestSolveBatch:
     def test_empty_seeds_rejected(self, clustered80):
         with pytest.raises(AnnealerError):
             solve_batch(clustered80, AnnealerConfig(), [])
+
+
+class TestPlatformEquivalences:
+    """Pin the two platform facts the batched kernel's exactness rests on."""
+
+    def test_pcg64_block_draw_equals_scalar_draws(self):
+        a = spawn_rng(123)
+        b = spawn_rng(123)
+        block = a.random(257)
+        scalars = np.array([b.random() for _ in range(257)])
+        assert np.array_equal(block, scalars)
+        assert a.random() == b.random()  # stream state aligned after
+
+    def test_stable_sigmoid_array_equals_scalar(self):
+        rng = np.random.default_rng(99)
+        x = np.concatenate(
+            [rng.normal(scale=50.0, size=500), [0.0, -0.0, np.inf, -np.inf]]
+        )
+        vec = stable_sigmoid(x)
+        for i, xi in enumerate(x):
+            assert vec[i] == stable_sigmoid(float(xi))

@@ -11,6 +11,7 @@ from repro.errors import IsingError
 from repro.ising.gibbs import chromatic_groups, cycle_groups, gibbs_sweep
 from repro.ising.model import IsingModel
 from repro.ising.numerics import stable_sigmoid
+from repro.problems.opcount import OpCounter
 from repro.utils.rng import spawn_rng
 
 
@@ -116,6 +117,16 @@ class TestGibbsSweep:
         m = self._ferro()
         with pytest.raises(IsingError):
             gibbs_sweep(m, np.ones(6), temperature=-1.0)
+
+    @pytest.mark.parametrize(
+        "order", [[-1], [3.7], [4]], ids=["negative", "fractional", "past-end"]
+    )
+    def test_bad_order_rejected(self, order):
+        # Not wrapped to the last spin, truncated to spin 3, or a bare
+        # IndexError: every bad entry is an IsingError.
+        m = self._ferro(4)
+        with pytest.raises(IsingError, match="order"):
+            gibbs_sweep(m, np.ones(4), temperature=1.0, seed=0, order=order)
 
 
 class TestBoltzmannConditionals:
@@ -229,12 +240,20 @@ class TestZeroTemperatureStreamDiscipline:
         n = 4
         h = np.array([5.0, 0.0, 0.0, 0.0])
         m = IsingModel(np.zeros((n, n)), h)
-        out = gibbs_sweep(m, -np.ones(n), temperature=0.0, seed=7)
+        ops = OpCounter()
+        out = gibbs_sweep(m, -np.ones(n), temperature=0.0, seed=7, ops=ops)
         rng = spawn_rng(7)
         expect = np.array(
             [1.0] + [1.0 if rng.random() < 0.5 else -1.0 for _ in range(3)]
         )
         assert np.array_equal(out, expect)
+        # The counter sees the same discipline: three draws, one MAC per
+        # visit (empty rows), one flip per spin that left -1.
+        assert ops.totals() == {
+            "spin_flips": int((out == 1.0).sum()),
+            "macs": n,
+            "rng_draws": 3,
+        }
 
     def test_all_decided_sweep_is_stream_pure(self):
         # No ties anywhere → the greedy sweep is a pure function; two

@@ -1,15 +1,15 @@
 """RL010 — float reductions that endanger batched bit-identity.
 
 The batched replica engine's contract is *bit-identical* energies and
-tours against the serial oracle (``tests/ising`` pins this).  That
-only holds while every floating-point accumulation happens in the same
-order as the serial code: a vectorised ``np.sum``/``@``/``.dot()``/
-``einsum`` over the replica axis lets BLAS reassociate the adds, and
-the last few mantissa bits drift — silently, and only on some
-machines.
+tours against the serial oracle (``tests/annealer/test_batched.py``
+pins this).  That only holds while every floating-point accumulation
+happens in the same order as the serial code: a vectorised
+``np.sum``/``@``/``.dot()``/``einsum`` over the replica axis lets BLAS
+reassociate the adds, and the last few mantissa bits drift — silently,
+and only on some machines.
 
-Scope: batched kernels (``repro/**/batched.py`` — today
-``repro/ising/batched.py`` and ``repro/annealer/batched.py``).
+Scope: batched kernels (``repro/**/batched.py`` — today only
+``repro/annealer/batched.py``).
 
 Flagged: ``np.sum`` / ``np.dot`` / ``np.einsum`` (any numpy alias),
 ``.sum()`` / ``.dot()`` method calls, and the ``@`` matmul operator.
