@@ -13,9 +13,11 @@ and the SimCIM mean-field optimizer.  A backend
 * ``solve``\\ s one seed of that plan into a result satisfying
   :class:`~repro.runtime.telemetry.RunResultLike` (and
   ``solve_group``\\ s a group of seeds, per seed unless overridden),
-* ``decode``\\ s a result into a human-readable solution view, and
-* supplies the quality ``reference`` denominator and the worker-side
-  integrity ``validate_result`` gate.
+
+and inherits the rest from its problem kind: the worker-side integrity
+``validate_result`` gate, the quality ``reference`` denominator and the
+human-readable ``decode`` view are one entry per kind in ``_KINDS``, so
+every backend scores a given kind the same way.
 
 ``SolveRequest(backend="...")`` selects one by registry name
 (:mod:`repro.backends.registry`); the ensemble executor, the async
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     List,
     Optional,
@@ -40,23 +43,113 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import AnnealerError
+from repro.annealer.result import AnnealResult, LevelReport
+from repro.errors import AnnealerError, ReproError
+from repro.ising.model import IsingModel
+from repro.maxcut.problem import MaxCutProblem
+from repro.maxcut.solver import greedy_maxcut
+from repro.problems.qubo import QUBOProblem
+from repro.problems.solvers import greedy_qubo_descent
+from repro.runtime.faults import ResultIntegrityError
 from repro.runtime.telemetry import RunResultLike
+from repro.tsp.instance import TSPInstance
+from repro.tsp.reference import reference_length
+from repro.tsp.tour import tour_length, validate_tour
 
 if TYPE_CHECKING:
     from repro.annealer.config import AnnealerConfig
-    from repro.annealer.result import LevelReport
     from repro.cim.macro import CIMChip
-    from repro.ising.model import IsingModel
-    from repro.maxcut.problem import MaxCutProblem
     from repro.problems.opcount import History
-    from repro.problems.qubo import QUBOProblem
-    from repro.tsp.instance import TSPInstance
 
 #: Everything a :class:`~repro.runtime.options.SolveRequest` can carry.
-ProblemLike = Union[
-    "TSPInstance", "IsingModel", "MaxCutProblem", "QUBOProblem"
-]
+ProblemLike = Union[TSPInstance, IsingModel, MaxCutProblem, QUBOProblem]
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """The result contract of one problem kind.
+
+    ``objective`` recomputes the minimised objective (a result's
+    ``length``) from its solution state, raising a
+    :class:`~repro.errors.ReproError` when the state is malformed;
+    ``state`` names that state and ``mismatch`` words a disagreeing
+    report in :class:`~repro.runtime.faults.ResultIntegrityError`
+    messages.  ``reference`` is the ``optimal_ratio`` denominator
+    (0.0 = none) and ``view`` the human-readable solution.
+    """
+
+    problem_type: type
+    state: str
+    mismatch: str
+    objective: Callable[[Any, np.ndarray], float]
+    reference: Callable[[Any, int], float]
+    view: Callable[[RunResultLike], Dict[str, Any]]
+
+
+def _tour_length(instance: TSPInstance, tour: np.ndarray) -> float:
+    validate_tour(tour, instance.n)
+    return float(tour_length(instance, tour))
+
+
+def _energy(model: Union[IsingModel, QUBOProblem], state: np.ndarray) -> float:
+    return model.energy(np.asarray(state, dtype=np.float64))
+
+
+def _ints(state: np.ndarray) -> List[int]:
+    return [int(v) for v in state]
+
+
+def _qubo_view(result: RunResultLike) -> Dict[str, Any]:
+    view: Dict[str, Any] = {
+        "bits": _ints(result.tour),
+        "energy": float(result.length),
+    }
+    ops = getattr(result, "ops", None)
+    if ops:
+        view["ops"] = {k: int(v) for k, v in ops.items()}
+    return view
+
+
+#: Problem kind → result contract.  The keys are the wire/capability
+#: kind names; ``repro.gateway.protocol.PROBLEM_CODECS`` has one codec
+#: per key.
+_KINDS: Dict[str, _Kind] = {
+    "tsp": _Kind(
+        TSPInstance,
+        state="tour",
+        mismatch="reported length {} does not match recomputed tour length {}",
+        objective=_tour_length,
+        reference=lambda p, seed: float(reference_length(p, seed=seed)),
+        view=lambda r: {"tour": _ints(r.tour), "length": float(r.length)},
+    ),
+    "ising": _Kind(
+        IsingModel,
+        state="spins",
+        mismatch="reported energy {} does not match recomputed energy {}",
+        objective=_energy,
+        # Arbitrary spin glasses have no baseline.
+        reference=lambda p, seed: 0.0,
+        view=lambda r: {"spins": _ints(r.tour), "energy": float(r.length)},
+    ),
+    # Max-Cut maximises, so ``length`` is the negated cut.
+    "maxcut": _Kind(
+        MaxCutProblem,
+        state="spins",
+        mismatch="reported objective {} does not match recomputed cut {}",
+        objective=lambda p, s: -p.cut_value(np.asarray(s, dtype=np.float64)),
+        # Negated like the objective, so ratio = cut / greedy_cut.
+        reference=lambda p, seed: -greedy_maxcut(p, seed=seed).cut_value,
+        view=lambda r: {"spins": _ints(r.tour), "cut_value": -float(r.length)},
+    ),
+    "qubo": _Kind(
+        QUBOProblem,
+        state="bits",
+        mismatch="reported energy {} does not match recomputed energy {}",
+        objective=_energy,
+        reference=lambda p, seed: greedy_qubo_descent(p, seed=seed)[1],
+        view=_qubo_view,
+    ),
+}
 
 
 def problem_kind(problem: object) -> str:
@@ -68,23 +161,13 @@ def problem_kind(problem: object) -> str:
     :class:`~repro.problems.qubo.QUBOProblem`; anything else raises
     :class:`~repro.errors.AnnealerError`.
     """
-    # Imported lazily: the problem containers live below this package.
-    from repro.ising.model import IsingModel
-    from repro.maxcut.problem import MaxCutProblem
-    from repro.problems.qubo import QUBOProblem
-    from repro.tsp.instance import TSPInstance
-
-    if isinstance(problem, TSPInstance):
-        return "tsp"
-    if isinstance(problem, IsingModel):
-        return "ising"
-    if isinstance(problem, MaxCutProblem):
-        return "maxcut"
-    if isinstance(problem, QUBOProblem):
-        return "qubo"
+    for name, kind in _KINDS.items():
+        if isinstance(problem, kind.problem_type):
+            return name
+    *rest, last = (kind.problem_type.__name__ for kind in _KINDS.values())
     raise AnnealerError(
         f"unsupported problem payload {type(problem).__name__!r} "
-        "(expected TSPInstance, IsingModel, MaxCutProblem, or QUBOProblem)"
+        f"(expected {', '.join(rest)}, or {last})"
     )
 
 
@@ -152,7 +235,7 @@ class BackendRunResult:
     length: float
     wall_time_s: float = 0.0
     chip: Optional["CIMChip"] = None
-    levels: Tuple["LevelReport", ...] = ()
+    levels: Tuple[LevelReport, ...] = ()
     ops: Dict[str, int] = field(default_factory=dict)
     history: Optional["History"] = None
 
@@ -215,29 +298,48 @@ class SolverBackend(ABC):
         """
         return [self.solve(plan, seed) for seed in seeds]
 
-    @abstractmethod
     def validate_result(
         self, problem: ProblemLike, result: RunResultLike
     ) -> None:
         """Integrity gate for results crossing the worker boundary.
 
-        Must raise :class:`~repro.runtime.faults.ResultIntegrityError`
-        when the solution state is malformed or the reported objective
-        does not match a recomputation (the chaos layer's corrupt
-        fault counts on this catching it).
+        Raises :class:`~repro.runtime.faults.ResultIntegrityError`
+        when ``result`` is not a run result, its solution state is
+        malformed, or its reported objective is NaN or does not match
+        a recomputation (the chaos layer's corrupt fault counts on
+        this catching it).
         """
+        if not isinstance(result, (AnnealResult, BackendRunResult)):
+            raise ResultIntegrityError(
+                f"worker returned {type(result).__name__!r}, "
+                "not an AnnealResult or BackendRunResult"
+            )
+        kind = _KINDS[problem_kind(problem)]
+        try:
+            recomputed = kind.objective(problem, result.tour)
+        except ReproError as exc:
+            raise ResultIntegrityError(
+                f"corrupted {kind.state}: {exc}"
+            ) from exc
+        # Negated so that a NaN on either side fails the gate.
+        tolerance = max(1e-6, 1e-9 * abs(recomputed))
+        if not abs(recomputed - result.length) <= tolerance:
+            raise ResultIntegrityError(
+                "corrupted result: "
+                + kind.mismatch.format(result.length, recomputed)
+            )
 
     def reference(self, problem: ProblemLike, seed: int) -> float:
         """Quality denominator for ``optimal_ratio`` (0.0 = none)."""
-        return 0.0
+        kind = _KINDS[problem_kind(problem)]
+        return float(kind.reference(problem, int(seed)))
 
-    def decode(self, result: RunResultLike) -> Dict[str, Any]:
-        """Human-readable solution view of one result."""
-        return {
-            "backend": self.capabilities().name,
-            "state": [int(v) for v in result.tour],
-            "objective": float(result.length),
-        }
+    def decode(
+        self, problem: ProblemLike, result: RunResultLike
+    ) -> Dict[str, Any]:
+        """Human-readable solution view of one result of ``problem``."""
+        view = _KINDS[problem_kind(problem)].view(result)
+        return {"backend": self.capabilities().name, **view}
 
     def _check_kind(self, problem: ProblemLike) -> str:
         """Shared ``compile`` guard: payload kind vs capabilities."""

@@ -3,18 +3,17 @@
 TSP plans run :class:`~repro.annealer.hierarchical.ClusteredCIMAnnealer`
 one seed at a time (``solve``), or a whole seed group at once on the
 batched replica engine (``solve_group`` →
-:func:`repro.annealer.batched.solve_batch`, bit-identical per seed);
-``validate_result`` is the TSP integrity gate
-(:func:`repro.runtime.faults.validate_result`).  Compiled QUBO plans
-(graph coloring, knapsack, Max-SAT — :mod:`repro.problems`) anneal
-with the op-counted chromatic-parallel Gibbs kernel, the same odd/even
-independent-set update the clustered hardware path uses.
+:func:`repro.annealer.batched.solve_batch`, bit-identical per seed).
+Compiled QUBO plans (graph coloring, knapsack, Max-SAT —
+:mod:`repro.problems`) anneal with the op-counted chromatic-parallel
+Gibbs kernel, the same odd/even independent-set update the clustered
+hardware path uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.backends.base import (
     BackendCapabilities,
@@ -89,39 +88,3 @@ class ClusterCIMBackend(SolverBackend):
         if not isinstance(plan.problem, TSPInstance):
             return super().solve_group(plan, seeds)
         return list(solve_batch(plan.problem, plan.config, seeds))
-
-    def validate_result(
-        self, problem: ProblemLike, result: RunResultLike
-    ) -> None:
-        from repro.backends.qubo_support import validate_qubo_result
-        from repro.problems.qubo import QUBOProblem
-        from repro.runtime.faults import validate_result
-        from repro.tsp.instance import TSPInstance
-
-        if isinstance(problem, QUBOProblem):
-            validate_qubo_result(problem, result)
-            return
-        assert isinstance(problem, TSPInstance)
-        validate_result(problem, result)
-
-    def reference(self, problem: ProblemLike, seed: int) -> float:
-        from repro.backends.qubo_support import qubo_reference
-        from repro.problems.qubo import QUBOProblem
-        from repro.tsp.instance import TSPInstance
-        from repro.tsp.reference import reference_length
-
-        if isinstance(problem, QUBOProblem):
-            return qubo_reference(problem, seed)
-        assert isinstance(problem, TSPInstance)
-        return float(reference_length(problem, seed=int(seed)))
-
-    def decode(self, result: RunResultLike) -> Dict[str, Any]:
-        from repro.backends.qubo_support import decode_qubo_result
-
-        if getattr(result, "history", None) is not None:
-            return decode_qubo_result(DEFAULT_BACKEND, result)
-        return {
-            "backend": DEFAULT_BACKEND,
-            "tour": [int(c) for c in result.tour],
-            "length": float(result.length),
-        }

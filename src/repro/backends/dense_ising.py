@@ -13,7 +13,7 @@ default backend's chromatic-parallel updates.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.backends.base import (
     BackendCapabilities,
@@ -83,50 +83,3 @@ class DenseIsingBackend(SolverBackend):
             length=float(annealed.length),
             wall_time_s=watch.elapsed_s(),
         )
-
-    def validate_result(
-        self, problem: ProblemLike, result: RunResultLike
-    ) -> None:
-        from repro.backends.qubo_support import validate_qubo_result
-        from repro.errors import TSPError
-        from repro.problems.qubo import QUBOProblem
-        from repro.runtime.faults import ResultIntegrityError
-        from repro.tsp.instance import TSPInstance
-        from repro.tsp.tour import tour_length, validate_tour
-
-        if isinstance(problem, QUBOProblem):
-            validate_qubo_result(problem, result)
-            return
-        assert isinstance(problem, TSPInstance)
-        try:
-            validate_tour(result.tour, problem.n)
-        except TSPError as exc:
-            raise ResultIntegrityError(f"corrupted tour: {exc}") from exc
-        recomputed = float(tour_length(problem, result.tour))
-        if abs(recomputed - result.length) > max(1e-6, 1e-9 * abs(recomputed)):
-            raise ResultIntegrityError(
-                f"corrupted result: reported length {result.length} does "
-                f"not match recomputed tour length {recomputed}"
-            )
-
-    def reference(self, problem: ProblemLike, seed: int) -> float:
-        from repro.backends.qubo_support import qubo_reference
-        from repro.problems.qubo import QUBOProblem
-        from repro.tsp.instance import TSPInstance
-        from repro.tsp.reference import reference_length
-
-        if isinstance(problem, QUBOProblem):
-            return qubo_reference(problem, seed)
-        assert isinstance(problem, TSPInstance)
-        return float(reference_length(problem, seed=int(seed)))
-
-    def decode(self, result: RunResultLike) -> Dict[str, Any]:
-        from repro.backends.qubo_support import decode_qubo_result
-
-        if getattr(result, "history", None) is not None:
-            return decode_qubo_result("dense-ising", result)
-        return {
-            "backend": "dense-ising",
-            "tour": [int(c) for c in result.tour],
-            "length": float(result.length),
-        }

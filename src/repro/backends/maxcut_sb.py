@@ -3,14 +3,14 @@
 Wraps :func:`repro.maxcut.bifurcation.simulated_bifurcation_maxcut`
 behind the :class:`~repro.backends.base.SolverBackend` interface.
 Max-Cut is a *maximisation* problem while the ensemble runtime ranks
-by minimised ``length``, so the adapter scores ``length = -cut`` and
-references ``-greedy_cut``: the optimal ratio then reads as the
-(positive) cut-over-greedy quality, > 1.0 when SB beats greedy.
+by minimised ``length``, so the adapter scores ``length = -cut``; the
+``maxcut`` kind references ``-greedy_cut``, so the optimal ratio reads
+as the (positive) cut-over-greedy quality, > 1.0 when SB beats greedy.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -59,36 +59,3 @@ class MaxCutBifurcationBackend(SolverBackend):
             length=-float(sb.cut_value),
             wall_time_s=watch.elapsed_s(),
         )
-
-    def validate_result(
-        self, problem: ProblemLike, result: RunResultLike
-    ) -> None:
-        from repro.errors import ReproError
-        from repro.maxcut.problem import MaxCutProblem
-        from repro.runtime.faults import ResultIntegrityError
-
-        assert isinstance(problem, MaxCutProblem)
-        try:
-            cut = problem.cut_value(np.asarray(result.tour, dtype=np.float64))
-        except ReproError as exc:
-            raise ResultIntegrityError(f"corrupted spins: {exc}") from exc
-        if abs(-cut - result.length) > max(1e-6, 1e-9 * abs(cut)):
-            raise ResultIntegrityError(
-                f"corrupted result: reported objective {result.length} "
-                f"does not match recomputed cut {-cut}"
-            )
-
-    def reference(self, problem: ProblemLike, seed: int) -> float:
-        from repro.maxcut.problem import MaxCutProblem
-        from repro.maxcut.solver import greedy_maxcut
-
-        assert isinstance(problem, MaxCutProblem)
-        # Negated like the objective, so ratio = cut / greedy_cut.
-        return -float(greedy_maxcut(problem, seed=int(seed)).cut_value)
-
-    def decode(self, result: RunResultLike) -> Dict[str, Any]:
-        return {
-            "backend": "maxcut-sb",
-            "spins": [int(s) for s in result.tour],
-            "cut_value": -float(result.length),
-        }

@@ -4,16 +4,15 @@ Wraps :func:`repro.ising.simcim.simcim_optimize` behind the
 :class:`~repro.backends.base.SolverBackend` interface: general ±1
 Ising models submitted straight through ``SolveRequest`` and the
 gateway.  No quality reference exists for arbitrary spin glasses, so
-``reference`` stays 0.0 and optimal ratios read 0.0 by convention.
-Compiled QUBO plans (:mod:`repro.problems`) relax through the same
-:func:`~repro.ising.simcim.simcim_optimize`, op-counted, on the
-problem's Ising form and score in QUBO energy, with the greedy-descent
-reference every QUBO-capable backend shares.
+the ``ising`` kind's reference is 0.0 and optimal ratios read 0.0 by
+convention.  Compiled QUBO plans (:mod:`repro.problems`) relax through
+the same :func:`~repro.ising.simcim.simcim_optimize`, op-counted, on
+the problem's Ising form and score in QUBO energy.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -80,47 +79,3 @@ class SimCIMBackend(SolverBackend):
             length=float(relaxed.energy),
             wall_time_s=watch.elapsed_s(),
         )
-
-    def validate_result(
-        self, problem: ProblemLike, result: RunResultLike
-    ) -> None:
-        from repro.backends.qubo_support import validate_qubo_result
-        from repro.errors import IsingError
-        from repro.ising.model import IsingModel
-        from repro.problems.qubo import QUBOProblem
-        from repro.runtime.faults import ResultIntegrityError
-
-        if isinstance(problem, QUBOProblem):
-            validate_qubo_result(problem, result)
-            return
-        assert isinstance(problem, IsingModel)
-        try:
-            energy = problem.energy(
-                np.asarray(result.tour, dtype=np.float64)
-            )
-        except IsingError as exc:
-            raise ResultIntegrityError(f"corrupted spins: {exc}") from exc
-        if abs(energy - result.length) > max(1e-6, 1e-9 * abs(energy)):
-            raise ResultIntegrityError(
-                f"corrupted result: reported energy {result.length} does "
-                f"not match recomputed energy {energy}"
-            )
-
-    def reference(self, problem: ProblemLike, seed: int) -> float:
-        from repro.backends.qubo_support import qubo_reference
-        from repro.problems.qubo import QUBOProblem
-
-        if isinstance(problem, QUBOProblem):
-            return qubo_reference(problem, seed)
-        return 0.0
-
-    def decode(self, result: RunResultLike) -> Dict[str, Any]:
-        from repro.backends.qubo_support import decode_qubo_result
-
-        if getattr(result, "history", None) is not None:
-            return decode_qubo_result("simcim", result)
-        return {
-            "backend": "simcim",
-            "spins": [int(s) for s in result.tour],
-            "energy": float(result.length),
-        }

@@ -433,6 +433,12 @@ def _build_instance(args: argparse.Namespace) -> "TSPInstance":
     return builders[args.family](args.n, seed=args.seed)
 
 
+def _solves_tsp(backend: str) -> bool:
+    from repro.backends import resolve_backend
+
+    return "tsp" in resolve_backend(backend).capabilities().problem_kinds
+
+
 def _build_problem(args: argparse.Namespace) -> "ProblemLike":
     """Synthesize the problem payload the chosen backend solves.
 
@@ -445,7 +451,7 @@ def _build_problem(args: argparse.Namespace) -> "ProblemLike":
     from repro.errors import ReproError
 
     backend = getattr(args, "backend", _DEFAULT_BACKEND)
-    if backend in ("maxcut-sb", "simcim") and args.tsplib:
+    if args.tsplib and not _solves_tsp(backend):
         raise ReproError(
             f"--tsplib loads a TSP, which backend {backend!r} does not "
             "solve; drop --tsplib or pick a TSP backend"
@@ -472,7 +478,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if backend in ("maxcut-sb", "simcim") and args.svg:
+    if args.svg and not _solves_tsp(backend):
         print(
             f"error: --svg renders a TSP tour; backend {backend!r} "
             "solves a different problem",
@@ -977,7 +983,7 @@ def _problems_solve(args: argparse.Namespace) -> int:
     impl = resolve_backend(args.backend)
     plan = impl.compile(qubo, None)
     result = impl.solve(plan, args.seed)
-    view = impl.decode(result)
+    view = impl.decode(qubo, result)
     print(f"solution : backend={args.backend}  energy={view['energy']:.1f}")
     ops = "  ".join(
         f"{k}={v}" for k, v in sorted(view.get("ops", {}).items())

@@ -357,7 +357,8 @@ def _decode_tsp(payload: Mapping[str, Any]) -> TSPInstance:
 
 #: The problem union on the wire: ``kind`` tag → (encode, decode).
 #: Keys are :func:`repro.backends.problem_kind` values; a new problem
-#: type needs exactly one entry here.
+#: kind needs one entry in the backends' kind table
+#: (``repro.backends.base._KINDS``) plus one codec here.
 PROBLEM_CODECS: Dict[
     str, Tuple[Callable[[Any], Dict[str, Any]], Callable[[Any], Any]]
 ] = {

@@ -17,10 +17,11 @@ same way write-back recovers the weight state.
   :func:`repro.runtime.executor._solve_unit`: raises for crashes,
   sleeps through hangs, tampers results for corruption, and kills the
   worker process for broken-pool faults.
-* :func:`validate_result` — the integrity gate at the pool boundary:
-  a returned tour must be a valid permutation whose recomputed length
-  matches the reported one; anything else is a transient worker fault
-  (:class:`ResultIntegrityError`) and is retried.
+* :class:`ResultIntegrityError` — what the integrity gate at the pool
+  boundary (:meth:`repro.backends.SolverBackend.validate_result`)
+  raises for a result whose state is malformed or whose reported
+  objective does not match the state; the runtime treats it as a
+  transient worker fault and retries.
 * :class:`Backoff` — bounded exponential backoff with deterministic
   jitter; the sanctioned retry pacer (lint rule RL007 flags bare
   ``time.sleep`` retry loops).
@@ -44,9 +45,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple, TypeVar
 from repro.errors import AnnealerError
 from repro.utils.rng import RandomState
 
-if TYPE_CHECKING:  # import cycle: repro.annealer.result uses repro.runtime
+if TYPE_CHECKING:
     from repro.runtime.telemetry import RunResultLike
-    from repro.tsp.instance import TSPInstance
 
 #: Any backend's run result (the corrupt fault tampers a copy of one).
 ResultT = TypeVar("ResultT", bound="RunResultLike")
@@ -61,7 +61,7 @@ class FaultKind(str, Enum):
       observes a timeout.
     * ``CORRUPT`` — the worker returns a tampered result (reported
       length no longer matches the tour); caught by
-      :func:`validate_result`.
+      the backend's ``validate_result`` gate.
     * ``BROKEN_POOL`` — the worker process dies hard (``os._exit``),
       breaking the whole ``ProcessPoolExecutor`` mid-flight.  Injected
       in-process (serial path) it downgrades to a raise.
@@ -380,39 +380,9 @@ class FaultInjector:
         if self.plan.fault_for(seed, attempt) is not FaultKind.CORRUPT:
             return result
         bad = copy.copy(result)
-        # Guaranteed to trip validate_result's length check.
+        # Guaranteed to trip the validate_result objective check.
         bad.length = float(result.length) + max(1.0, 0.01 * abs(result.length))
         return bad
-
-
-def validate_result(instance: "TSPInstance", result: object) -> None:
-    """Integrity gate for results crossing the worker boundary.
-
-    Raises :class:`ResultIntegrityError` unless ``result`` is an
-    :class:`~repro.annealer.result.AnnealResult` whose tour is a valid
-    permutation of ``instance`` and whose reported length matches the
-    recomputed tour length (same tolerance as
-    ``AnnealResult.__post_init__``).
-    """
-    # Imported lazily: repro.annealer imports repro.runtime.
-    from repro.annealer.result import AnnealResult
-    from repro.errors import TSPError
-    from repro.tsp.tour import tour_length, validate_tour
-
-    if not isinstance(result, AnnealResult):
-        raise ResultIntegrityError(
-            f"worker returned {type(result).__name__!r}, not an AnnealResult"
-        )
-    try:
-        validate_tour(result.tour, instance.n)
-    except TSPError as exc:
-        raise ResultIntegrityError(f"corrupted tour: {exc}") from exc
-    recomputed = float(tour_length(instance, result.tour))
-    if abs(recomputed - result.length) > max(1e-6, 1e-9 * abs(recomputed)):
-        raise ResultIntegrityError(
-            f"corrupted result: reported length {result.length} does not "
-            f"match recomputed tour length {recomputed}"
-        )
 
 
 class Backoff:

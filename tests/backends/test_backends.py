@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -24,6 +26,148 @@ from repro.runtime.faults import ResultIntegrityError
 from repro.tsp.generators import random_uniform
 from repro.tsp.reference import reference_length
 from repro.tsp.tour import tour_length
+
+
+#: The result contract of every (backend, kind) pair, recorded before
+#: the per-kind table replaced each backend's own gate, reference and
+#: view: the decode view and reference of ``_contract_case`` and the
+#: messages rejecting its result with ``length + 1`` and with a
+#: malformed state.
+CONTRACT_GOLDENS = {
+    ("cluster-cim", "tsp"): dict(
+        view={
+            "backend": "cluster-cim",
+            "tour": [9, 0, 8, 4, 1, 7, 5, 6, 3, 2],
+            "length": 3134.144288547415,
+        },
+        reference=3134.1442885474144,
+        tampered=(
+            "corrupted result: reported length 3135.144288547415 does not "
+            "match recomputed tour length 3134.144288547415"
+        ),
+        corrupted=(
+            "corrupted tour: tour is not a permutation "
+            "(missing/duplicate cities)"
+        ),
+    ),
+    ("cluster-cim", "qubo"): dict(
+        view={
+            "backend": "cluster-cim",
+            "bits": [0, 1, 0, 0, 0, 1, 0, 1, 0, 0],
+            "energy": -17.0,
+            "ops": {"spin_flips": 3, "macs": 20000, "rng_draws": 2010},
+        },
+        reference=-17.0,
+        tampered=(
+            "corrupted result: reported energy -16.0 does not match "
+            "recomputed energy -17.0"
+        ),
+        corrupted="corrupted bits: state values must be 0/1",
+    ),
+    ("dense-ising", "tsp"): dict(
+        view={
+            "backend": "dense-ising",
+            "tour": [0, 7, 5, 4, 9, 1, 8, 2, 3, 6],
+            "length": 5206.87211742505,
+        },
+        reference=3134.1442885474144,
+        tampered=(
+            "corrupted result: reported length 5207.87211742505 does not "
+            "match recomputed tour length 5206.87211742505"
+        ),
+        corrupted=(
+            "corrupted tour: tour is not a permutation "
+            "(missing/duplicate cities)"
+        ),
+    ),
+    ("dense-ising", "qubo"): dict(
+        view={
+            "backend": "dense-ising",
+            "bits": [0, 1, 0, 0, 0, 1, 0, 1, 0, 0],
+            "energy": -17.0,
+            "ops": {"spin_flips": 3, "macs": 20000, "rng_draws": 2010},
+        },
+        reference=-17.0,
+        tampered=(
+            "corrupted result: reported energy -16.0 does not match "
+            "recomputed energy -17.0"
+        ),
+        corrupted="corrupted bits: state values must be 0/1",
+    ),
+    ("simcim", "ising"): dict(
+        view={
+            "backend": "simcim",
+            "spins": [-1, -1, 1, -1, 1, -1, 1, -1],
+            "energy": -12.757729275103465,
+        },
+        reference=0.0,
+        tampered=(
+            "corrupted result: reported energy -11.757729275103465 does "
+            "not match recomputed energy -12.757729275103465"
+        ),
+        corrupted=(
+            "corrupted spins: state values [2.0] invalid for "
+            "convention 'pm1'"
+        ),
+    ),
+    ("simcim", "qubo"): dict(
+        view={
+            "backend": "simcim",
+            "bits": [0, 0, 1, 1, 1, 0, 0, 0, 1, 0],
+            "energy": -19.0,
+            "ops": {"spin_flips": 326, "macs": 110000, "rng_draws": 10000},
+        },
+        reference=-17.0,
+        tampered=(
+            "corrupted result: reported energy -18.0 does not match "
+            "recomputed energy -19.0"
+        ),
+        corrupted="corrupted bits: state values must be 0/1",
+    ),
+    ("maxcut-sb", "maxcut"): dict(
+        view={
+            "backend": "maxcut-sb",
+            "spins": [1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1, 1],
+            "cut_value": 8.0,
+        },
+        reference=-7.0,
+        tampered=(
+            "corrupted result: reported objective -7.0 does not match "
+            "recomputed cut -8.0"
+        ),
+        corrupted="corrupted spins: state values must be +-1",
+    ),
+}
+
+CONTRACT_PAIRS = pytest.mark.parametrize("name,kind", list(CONTRACT_GOLDENS))
+
+
+@lru_cache(maxsize=None)
+def _contract_case(name, kind):
+    """The problem and seed-3 result of one (backend, kind) pair."""
+    from repro.problems import make_problem
+
+    problem = {
+        "tsp": lambda: random_uniform(10, seed=7),
+        "qubo": lambda: make_problem("knapsack", 6, seed=2).to_qubo(),
+        "ising": lambda: random_ising_model(8, seed=6),
+        "maxcut": lambda: gset_style(12, seed=4),
+    }[kind]()
+    config = None
+    if (name, kind) == ("cluster-cim", "tsp"):
+        config = AnnealerConfig(
+            schedule=VddSchedule(total_iterations=40, iterations_per_step=10)
+        )
+    impl = resolve_backend(name)
+    return problem, impl.solve(impl.compile(problem, config), 3)
+
+
+def _tampered(name, kind, **fields):
+    """A copy of the pair's honest result with ``fields`` replaced."""
+    bad = copy.copy(_contract_case(name, kind)[1])
+    for key, value in fields.items():
+        setattr(bad, key, value)
+    return bad
 
 
 @pytest.fixture
@@ -49,8 +193,63 @@ class TestProblemKind:
         assert problem_kind(qubo) == "qubo"
 
     def test_foreign_payload_rejected(self):
-        with pytest.raises(AnnealerError, match="unsupported problem"):
+        with pytest.raises(
+            AnnealerError,
+            match=r"unsupported problem payload 'str' \(expected "
+            r"TSPInstance, IsingModel, MaxCutProblem, or QUBOProblem\)",
+        ):
             problem_kind("not a problem")
+
+    @CONTRACT_PAIRS
+    def test_decode_view_golden(self, name, kind):
+        problem, result = _contract_case(name, kind)
+        view = resolve_backend(name).decode(problem, result)
+        assert view == CONTRACT_GOLDENS[name, kind]["view"]
+
+    @CONTRACT_PAIRS
+    def test_reference_golden(self, name, kind):
+        problem, _ = _contract_case(name, kind)
+        reference = resolve_backend(name).reference(problem, 3)
+        assert reference == CONTRACT_GOLDENS[name, kind]["reference"]
+
+    @CONTRACT_PAIRS
+    def test_honest_result_accepted(self, name, kind):
+        resolve_backend(name).validate_result(*_contract_case(name, kind))
+
+    @CONTRACT_PAIRS
+    def test_tampered_objective_golden(self, name, kind):
+        problem, result = _contract_case(name, kind)
+        bad = _tampered(name, kind, length=result.length + 1.0)
+        with pytest.raises(ResultIntegrityError) as info:
+            resolve_backend(name).validate_result(problem, bad)
+        assert str(info.value) == CONTRACT_GOLDENS[name, kind]["tampered"]
+
+    @CONTRACT_PAIRS
+    def test_corrupted_state_golden(self, name, kind):
+        problem, result = _contract_case(name, kind)
+        n = len(result.tour)
+        state = np.zeros(n) if kind == "tsp" else np.full(n, 2)
+        bad = _tampered(name, kind, tour=state.astype(np.int64))
+        with pytest.raises(ResultIntegrityError) as info:
+            resolve_backend(name).validate_result(problem, bad)
+        assert str(info.value) == CONTRACT_GOLDENS[name, kind]["corrupted"]
+
+    @CONTRACT_PAIRS
+    def test_nan_objective_rejected(self, name, kind):
+        problem, _ = _contract_case(name, kind)
+        bad = _tampered(name, kind, length=float("nan"))
+        with pytest.raises(ResultIntegrityError, match="reported .* nan"):
+            resolve_backend(name).validate_result(problem, bad)
+
+    @CONTRACT_PAIRS
+    @pytest.mark.parametrize("payload", [{"length": 1.0}, None])
+    def test_wrong_type_rejected(self, name, kind, payload):
+        problem, _ = _contract_case(name, kind)
+        with pytest.raises(
+            ResultIntegrityError,
+            match="not an AnnealResult or BackendRunResult",
+        ):
+            resolve_backend(name).validate_result(problem, payload)
 
 
 class TestCapabilityGuards:
@@ -110,7 +309,7 @@ class TestClusterCIM:
     def test_decode_view(self, tsp16, fast_config):
         impl = resolve_backend("cluster-cim")
         result = impl.solve(impl.compile(tsp16, fast_config), 1)
-        view = impl.decode(result)
+        view = impl.decode(tsp16, result)
         assert view["backend"] == "cluster-cim"
         assert sorted(view["tour"]) == list(range(16))
         assert view["length"] == pytest.approx(result.length)
@@ -179,7 +378,7 @@ class TestMaxCutSB:
         problem = gset_style(30, seed=4)
         impl = resolve_backend("maxcut-sb")
         result = impl.solve(impl.compile(problem, None), 2)
-        view = impl.decode(result)
+        view = impl.decode(problem, result)
         assert view["backend"] == "maxcut-sb"
         assert view["cut_value"] == pytest.approx(-result.length)
         assert set(view["spins"]) <= {-1, 1}
@@ -277,7 +476,7 @@ class TestQUBOBackends:
     def test_decode_view(self, qubo, name):
         impl = resolve_backend(name)
         result = impl.solve(impl.compile(qubo, None), 4)
-        view = impl.decode(result)
+        view = impl.decode(qubo, result)
         assert view["backend"] == name
         assert view["energy"] == pytest.approx(result.length)
         assert set(view["bits"]) <= {0, 1}

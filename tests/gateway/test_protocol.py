@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.annealer.config import AnnealerConfig, NoiseSource, NoiseTarget
-from repro.backends.base import ProblemLike, problem_kind
+from repro.backends.base import _KINDS, ProblemLike, problem_kind
 from repro.gateway.protocol import (
     PROBLEM_CODECS,
     REQUEST_SCHEMA,
@@ -714,6 +714,8 @@ class TestDerivedCodec:
         assert {problem_kind(p) for p in samples.values()} == set(
             PROBLEM_CODECS
         )
+        # A new kind needs one kind-table entry plus one codec.
+        assert set(PROBLEM_CODECS) == set(_KINDS)
 
 class TestTelemetryFrames:
     def frame(self, **overrides):

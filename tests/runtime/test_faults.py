@@ -22,10 +22,12 @@ from repro.runtime.faults import (
     ResultIntegrityError,
     ShardFaultKind,
     ShardFaultPlan,
-    validate_result,
 )
 from repro.runtime.options import EnsembleOptions
 from repro.tsp.generators import random_uniform
+
+#: The TSP integrity gate at the pool boundary.
+validate_result = ClusterCIMBackend().validate_result
 
 CHEAP = AnnealerConfig(
     schedule=VddSchedule(total_iterations=40, iterations_per_step=10)

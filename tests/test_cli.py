@@ -267,20 +267,24 @@ class TestSolveBackend:
         ) == 2
         assert "--ppa" in capsys.readouterr().err
 
-    def test_svg_needs_tsp_backend(self, capsys, tmp_path):
+    @pytest.mark.parametrize("backend", ["maxcut-sb", "simcim"])
+    def test_svg_needs_tsp_backend(self, backend, capsys, tmp_path):
         assert main(
-            ["solve", "--backend", "maxcut-sb", "--n", "30",
+            ["solve", "--backend", backend, "--n", "30",
              "--svg", str(tmp_path / "t.svg")]
         ) == 2
         assert "--svg" in capsys.readouterr().err
 
-    def test_tsplib_rejected_for_non_tsp_backend(self, tmp_path, capsys):
+    @pytest.mark.parametrize("backend", ["simcim", "maxcut-sb"])
+    def test_tsplib_rejected_for_non_tsp_backend(
+        self, backend, tmp_path, capsys
+    ):
         inst = random_uniform(30, seed=3)
         path = tmp_path / "demo.tsp"
         with open(path, "w") as f:
             write_tsplib(inst, f)
         assert main(
-            ["solve", "--backend", "simcim", "--tsplib", str(path)]
+            ["solve", "--backend", backend, "--tsplib", str(path)]
         ) == 2
         assert "--tsplib" in capsys.readouterr().err
 
