@@ -31,12 +31,12 @@ test-fast:
 	pytest tests/ -m "not slow"
 
 # Fault-injection suite: seeded crashes/hangs/broken pools on purpose,
-# plus the shard-tier gateway chaos (evictions/failovers/stalls; marker
-# chaos_gateway) — docs/robustness.md.  Deselect the slow parts
-# elsewhere with -m "not chaos".
+# plus a worker killed mid-stream behind the gateway
+# (tests/gateway/test_chaos.py) — docs/robustness.md.  Deselect the
+# slow parts elsewhere with -m "not chaos".
 test-chaos:
 	pytest tests/runtime/test_chaos.py tests/runtime/test_faults.py \
-		tests/gateway/test_failover.py -q
+		tests/gateway/test_chaos.py -q
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -48,13 +48,12 @@ bench-full:
 # Append a run record to the machine-readable throughput logs:
 # BENCH_ensemble.json (one ensemble, serial vs pool vs batched),
 # BENCH_service.json (AnnealingService, concurrent jobs, shared pool),
-# BENCH_gateway.json, and BENCH_workloads.json (QUBO problem families
+# and BENCH_workloads.json (QUBO problem families
 # x backends with per-step op counts).  Each run appends a timestamped
 # entry (schema repro.bench_log/v1) so the perf trajectory accumulates.
 bench-json:
 	pytest benchmarks/test_ext_ensemble_throughput.py \
 		benchmarks/test_ext_service_throughput.py \
-		benchmarks/test_ext_gateway_throughput.py \
 		benchmarks/test_ext_workloads.py --benchmark-only
 
 examples:

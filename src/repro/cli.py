@@ -18,9 +18,9 @@ Installs as ``repro`` (console script) and also runs as
   ``--chaos-seed`` runs the ensemble under the deterministic
   fault-injection layer (``docs/robustness.md``);
 * ``serve``     — run the HTTP/SSE serving gateway
-  (:mod:`repro.gateway`): N :class:`~repro.runtime.AnnealingService`
-  shards behind one ``POST /v1/jobs`` endpoint with a pluggable
-  routing policy (``docs/gateway.md``);
+  (:mod:`repro.gateway`): one :class:`~repro.runtime.AnnealingService`
+  with a ``--workers``-process pool behind one ``POST /v1/jobs``
+  endpoint (``docs/gateway.md``);
 * ``submit``    — submit a solve to a running gateway over HTTP and
   (optionally) stream its telemetry frames back;
 * ``capacity``  — the Fig. 1 memory-capacity table for given sizes;
@@ -49,7 +49,7 @@ Examples
     repro solve --family rl --n 1000 --ensemble 8 --workers 4 --stream
     repro solve --family rl --n 200 --ensemble 16 --chaos-seed 42 \
                 --chaos-crash-rate 0.2
-    repro serve --shards 2 --workers 2 --policy least-inflight
+    repro serve --workers 2
     repro submit --url http://127.0.0.1:8642 --family rl --n 500 \
                  --ensemble 8 --stream
     repro submit --url http://127.0.0.1:8642 --backend simcim --n 64
@@ -69,6 +69,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
@@ -212,35 +213,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="listening port (0 = ephemeral; default: 8642)",
     )
     p_serve.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="in-process AnnealingService shards (default: 2)",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=1, metavar="W",
-        help="worker processes per shard (default: 1 = serial)",
-    )
-    p_serve.add_argument(
-        "--policy", choices=["round-robin", "least-inflight"],
-        default="round-robin", help="shard routing policy",
+        "--workers", type=int, default=os.cpu_count() or 1, metavar="W",
+        help="worker processes in the gateway's pool (default: the CPU "
+        "count; 1 = solve in the gateway process)",
     )
     p_serve.add_argument(
         "--max-pending", type=int, default=16, metavar="J",
-        help="admitted jobs per shard before the gateway answers 429 "
-        "(default: 16)",
-    )
-    p_serve.add_argument(
-        "--probe-interval", type=float, default=0.25, metavar="S",
-        help="seconds between shard liveness probes (default: 0.25)",
-    )
-    p_serve.add_argument(
-        "--failover-budget", type=int, default=2, metavar="K",
-        help="re-dispatches a job may consume after shard loss before "
-        "it fails (default: 2)",
-    )
-    p_serve.add_argument(
-        "--stall-timeout", type=float, default=30.0, metavar="S",
-        help="seconds without stream progress before a running attempt "
-        "is failed over (default: 30)",
+        help="admitted jobs before the gateway answers 429 (default: 16)",
     )
 
     p_submit = sub.add_parser(
@@ -701,26 +680,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.gateway import GatewayServer, ShardRouter
     from repro.runtime.options import EnsembleOptions
 
-    options = EnsembleOptions(
-        max_workers=args.workers, max_pending_jobs=args.max_pending
-    )
     router = ShardRouter(
-        options,
-        shards=args.shards,
-        policy=args.policy,
-        probe_interval_s=args.probe_interval,
-        failover_budget=args.failover_budget,
-        stall_timeout_s=args.stall_timeout,
+        EnsembleOptions(
+            max_workers=args.workers, max_pending_jobs=args.max_pending
+        )
     )
 
     async def run() -> None:
         async with GatewayServer(
             router, host=args.host, port=args.port
         ) as server:
-            print(
-                f"gateway  : {server.url}  shards={args.shards}  "
-                f"workers/shard={args.workers}  policy={args.policy}"
-            )
+            print(f"gateway  : {server.url}  workers={args.workers}")
             print(
                 "endpoints: POST /v1/jobs   GET /v1/jobs/{id}[/events]   "
                 "DELETE /v1/jobs/{id}   GET /metrics   GET /healthz   "
@@ -731,7 +701,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         asyncio.run(run())
     except KeyboardInterrupt:
-        print("gateway  : interrupted; shards drained")
+        print("gateway  : interrupted; jobs drained")
     return 0
 
 
@@ -768,10 +738,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     try:
         handle = client.submit(request)
         job_id = str(handle["job_id"])
-        print(
-            f"job      : {job_id}  shard={handle['shard']}  "
-            f"state={handle['state']}"
-        )
+        print(f"job      : {job_id}  state={handle['state']}")
         if args.stream:
             for record in client.stream(job_id, reconnect=5):
                 print(record.to_json_line())
@@ -787,10 +754,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 1
     lengths = result["lengths"]
     best = result["best"]
-    print(
-        f"ensemble : {len(lengths)} runs  best={best['length']:.1f}  "
-        f"shard={result['shard']}"
-    )
+    print(f"ensemble : {len(lengths)} runs  best={best['length']:.1f}")
     stats = result["ratio_stats"]
     if stats is not None:
         print(
@@ -1033,10 +997,7 @@ def _problems_submit(args: argparse.Namespace) -> int:
     try:
         handle = client.submit(request)
         job_id = str(handle["job_id"])
-        print(
-            f"job      : {job_id}  shard={handle['shard']}  "
-            f"state={handle['state']}"
-        )
+        print(f"job      : {job_id}  state={handle['state']}")
         result = client.result(job_id)
     except GatewayHTTPError as exc:
         print(f"error    : {exc}", file=sys.stderr)
@@ -1050,7 +1011,7 @@ def _problems_submit(args: argparse.Namespace) -> int:
     best = result["best"]
     print(
         f"ensemble : {len(result['lengths'])} runs  "
-        f"best energy={best['length']:.1f}  shard={result['shard']}"
+        f"best energy={best['length']:.1f}"
     )
     decoded = fam.decode(np.asarray(best["tour"], dtype=np.int64))
     print(

@@ -65,9 +65,9 @@ class DeadlineExceededError(AnnealerError):
 
     Deadlines propagate from the client through the wire codec, are
     checked at admission (a request whose budget is already spent is
-    rejected immediately), enforced during the solve via cooperative
-    cancellation, and shrink across gateway failovers.  On the wire
-    this maps to the ``deadline_exceeded`` error code (HTTP 504).
+    rejected immediately) and enforced during the solve via
+    cooperative cancellation.  On the wire this maps to the
+    ``deadline_exceeded`` error code (HTTP 504).
     """
 
 

@@ -1,4 +1,4 @@
-"""HTTP/SSE serving gateway with horizontal shard routing.
+"""HTTP/SSE serving gateway over one annealing service.
 
 The outermost layer of the serving stack (stdlib-only; no web
 framework):
@@ -6,13 +6,15 @@ framework):
 * :mod:`repro.gateway.protocol` — versioned JSON wire formats
   (``repro.solve_request/v1`` in, ``repro.run_telemetry/v1`` frames
   and ``repro.job_result/v1`` out);
-* :mod:`repro.gateway.router` — :class:`ShardRouter` places jobs on N
-  in-process :class:`~repro.runtime.AnnealingService` shards via a
-  pluggable policy and aggregates their admission backpressure into
-  one 429-style rejection;
+* :mod:`repro.gateway.router` — :class:`ShardRouter`, the
+  non-blocking admission front of one
+  :class:`~repro.runtime.AnnealingService`: it answers a full service
+  with a 429-style rejection instead of queueing, looks jobs up by id
+  and keeps the ``/metrics`` counters.  Solves run in the service's
+  worker-process pool;
 * :mod:`repro.gateway.server` — :class:`GatewayServer`, the
   ``asyncio.start_server`` HTTP/SSE front (submit, stream, result,
-  cancel, metrics);
+  cancel, metrics, health);
 * :mod:`repro.gateway.client` — blocking and async clients speaking
   the same protocol (what ``repro submit --url`` uses).
 
@@ -24,7 +26,6 @@ from repro.gateway.client import (
     GatewayClient,
     GatewayHTTPError,
 )
-from repro.gateway.health import ShardHealth, ShardState
 from repro.gateway.protocol import (
     ProtocolError,
     decode_solve_request,
@@ -32,15 +33,10 @@ from repro.gateway.protocol import (
     parse_telemetry_frame,
 )
 from repro.gateway.router import (
-    GatewayJob,
     GatewayOverloadedError,
     GatewayUnavailableError,
-    LeastInflightPolicy,
-    RoundRobinPolicy,
-    RoutingPolicy,
     ShardRouter,
     UnknownJobError,
-    policy_from_name,
 )
 from repro.gateway.server import GatewayServer
 
@@ -48,20 +44,13 @@ __all__ = [
     "AsyncGatewayClient",
     "GatewayClient",
     "GatewayHTTPError",
-    "GatewayJob",
     "GatewayOverloadedError",
     "GatewayServer",
     "GatewayUnavailableError",
-    "LeastInflightPolicy",
     "ProtocolError",
-    "RoundRobinPolicy",
-    "RoutingPolicy",
-    "ShardHealth",
     "ShardRouter",
-    "ShardState",
     "UnknownJobError",
     "decode_solve_request",
     "encode_solve_request",
     "parse_telemetry_frame",
-    "policy_from_name",
 ]

@@ -53,7 +53,7 @@ _RETRYABLE_STATUSES = frozenset({429, 503})
 class GatewayHTTPError(GatewayError):
     """A non-2xx gateway response; carries the wire error body.
 
-    ``status`` is the HTTP status (429 = all shards at capacity, 404 =
+    ``status`` is the HTTP status (429 = service at capacity, 404 =
     unknown job, 400 = protocol violation — e.g. an unknown backend
     name); ``payload`` is the decoded ``repro.error/v1`` document
     (empty when the body was not JSON).  The exception message carries

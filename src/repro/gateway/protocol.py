@@ -607,22 +607,17 @@ def health_payload(status: str, **extra: Any) -> Dict[str, Any]:
     }
 
 
-def job_payload(
-    job_id: str, state: str, shard: str, **extra: Any
-) -> Dict[str, Any]:
+def job_payload(job_id: str, state: str, **extra: Any) -> Dict[str, Any]:
     """The ``repro.job/v1`` body (submit/cancel acknowledgements)."""
     return {
         "schema": JOB_SCHEMA,
         "job_id": job_id,
         "state": state,
-        "shard": shard,
         **extra,
     }
 
 
-def encode_job_result(
-    job_id: str, shard: str, result: "EnsembleResult"
-) -> Dict[str, Any]:
+def encode_job_result(job_id: str, result: "EnsembleResult") -> Dict[str, Any]:
     """The ``repro.job_result/v1`` body: the final seed-ordered result.
 
     Per-seed tours travel as plain index lists, so a client can verify
@@ -638,7 +633,6 @@ def encode_job_result(
     return {
         "schema": RESULT_SCHEMA,
         "job_id": job_id,
-        "shard": shard,
         "state": "done",
         "reference": float(result.reference),
         "seeds": ok_seeds,

@@ -1,13 +1,14 @@
 """Stdlib-only HTTP/SSE front of the serving gateway.
 
 :class:`GatewayServer` exposes a :class:`~repro.gateway.router.
-ShardRouter` over plain HTTP/1.1 on ``asyncio.start_server`` — no web
-framework, no third-party dependency — with a deliberately small
-surface:
+ShardRouter`, the admission front of the gateway's one
+:class:`~repro.runtime.service.AnnealingService`, over plain HTTP/1.1
+on ``asyncio.start_server`` — no web framework, no third-party
+dependency — with a deliberately small surface:
 
 * ``POST /v1/jobs`` — submit a ``repro.solve_request/v1`` body;
-  answers ``202`` with a ``repro.job/v1`` handle, or ``429`` when
-  every shard is at capacity (the router's aggregated backpressure);
+  answers ``202`` with a ``repro.job/v1`` handle, or ``429`` when the
+  service is at capacity;
 * ``GET /v1/jobs/{id}/events`` — Server-Sent Events: one ``run``
   event per completed seed whose ``data:`` line is exactly
   :meth:`RunTelemetry.to_json_line`, replayed from the start for late
@@ -17,13 +18,12 @@ surface:
   ``repro.job_result/v1`` (bit-identical to an in-process
   :func:`~repro.annealer.batch.solve_ensemble` of the same request);
 * ``DELETE /v1/jobs/{id}`` — cooperative cancellation;
-* ``GET /metrics`` — gateway + per-shard counters
-  (``repro.gateway_metrics/v1``);
+* ``GET /metrics`` — gateway counters (``repro.gateway_metrics/v1``);
 * ``GET /healthz`` — process liveness (always ``200`` while the
   socket answers);
-* ``GET /readyz`` — readiness: ``200`` while at least one healthy
-  shard can take jobs, ``503`` with a ``repro.error/v1`` body
-  otherwise.
+* ``GET /readyz`` — readiness: ``200`` while the service is started
+  and its worker pool is not spent, ``503`` with a ``repro.error/v1``
+  body otherwise.
 
 Every non-2xx body is a ``repro.error/v1`` document.  Connections are
 one-request (``Connection: close``): the server is a test/benchmark
@@ -48,13 +48,12 @@ from repro.gateway.protocol import (
     job_payload,
 )
 from repro.gateway.router import (
-    GatewayJob,
     GatewayOverloadedError,
     GatewayUnavailableError,
     ShardRouter,
     UnknownJobError,
 )
-from repro.runtime.service import JobState
+from repro.runtime.service import Job, JobState
 
 MAX_BODY_BYTES = 16 * 1024 * 1024
 _REASONS = {
@@ -87,12 +86,12 @@ class GatewayServer:
     ``port=0`` (default) binds an ephemeral port — read the real
     address from :attr:`url` after :meth:`start`; tests and the CLI
     both rely on this to avoid port races.  The server owns the
-    router's lifecycle: :meth:`stop` shuts the shards down too
+    router's lifecycle: :meth:`stop` shuts its service down too
     (``drain=True`` finishes admitted jobs first).
 
     Use as an async context manager::
 
-        async with GatewayServer(ShardRouter(shards=2)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             print(server.url)
             await server.serve_forever()
     """
@@ -124,7 +123,7 @@ class GatewayServer:
         return f"http://{host}:{port}"
 
     async def start(self) -> None:
-        """Start the shards and bind the listening socket."""
+        """Start the service and bind the listening socket."""
         if self._server is not None:
             return
         await self.router.start()
@@ -212,33 +211,24 @@ class GatewayServer:
             if method != "GET":
                 raise _method_not_allowed(method, path)
             # Process liveness: answering at all is the signal.
-            await _send_json(
-                writer,
-                200,
-                health_payload("alive", shards=len(self.router.shards)),
-            )
+            await _send_json(writer, 200, health_payload("alive"))
             return
         if path == "/readyz":
             if method != "GET":
                 raise _method_not_allowed(method, path)
-            healthy = self.router.healthy_shards
-            if healthy < 1:
+            if not self.router.ready:
                 raise _HttpError(
                     503,
                     error_payload(
                         "not_ready",
-                        "no healthy shard can take jobs",
+                        "the service is not started or its worker pool "
+                        "is spent",
                         retry=True,
                     ),
                 )
+            workers = self.router.options.max_workers
             await _send_json(
-                writer,
-                200,
-                health_payload(
-                    "ready",
-                    shards=len(self.router.shards),
-                    healthy_shards=healthy,
-                ),
+                writer, 200, health_payload("ready", workers=workers)
             )
             return
         if path.startswith("/v1/jobs/"):
@@ -261,7 +251,7 @@ class GatewayServer:
             404, error_payload("not_found", f"no route for {path!r}")
         )
 
-    def _get_job(self, job_id: str) -> GatewayJob:
+    def _get_job(self, job_id: str) -> Job:
         try:
             return self.router.get(job_id)
         except UnknownJobError as exc:
@@ -297,16 +287,11 @@ class GatewayServer:
         await _send_json(
             writer,
             202,
-            job_payload(
-                job.job_id,
-                job.state.value,
-                job.shard_name,
-                seeds=len(request.seeds),
-            ),
+            job_payload(job.job_id, job.state.value, seeds=len(request.seeds)),
         )
 
     async def _final_result(
-        self, job: GatewayJob, writer: asyncio.StreamWriter
+        self, job: Job, writer: asyncio.StreamWriter
     ) -> None:
         """``GET /v1/jobs/{id}``: long-poll the seed-ordered result."""
         try:
@@ -327,22 +312,16 @@ class GatewayServer:
                 500, error_payload("job_failed", str(exc), job_id=job.job_id)
             ) from exc
         await _send_json(
-            writer, 200, encode_job_result(job.job_id, job.shard_name, result)
+            writer, 200, encode_job_result(job.job_id, result)
         )
 
-    async def _cancel(
-        self, job: GatewayJob, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _cancel(self, job: Job, writer: asyncio.StreamWriter) -> None:
         """``DELETE /v1/jobs/{id}``: cooperative cancellation."""
         job.cancel()
-        await _send_json(
-            writer,
-            202,
-            job_payload(job.job_id, job.state.value, job.shard_name),
-        )
+        await _send_json(writer, 202, job_payload(job.job_id, job.state.value))
 
     async def _stream_events(
-        self, job: GatewayJob, writer: asyncio.StreamWriter
+        self, job: Job, writer: asyncio.StreamWriter
     ) -> None:
         """``GET /v1/jobs/{id}/events``: replayable SSE stream."""
         writer.write(

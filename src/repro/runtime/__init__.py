@@ -46,8 +46,6 @@ from repro.runtime.faults import (
     FaultPlan,
     InjectedFault,
     ResultIntegrityError,
-    ShardFaultKind,
-    ShardFaultPlan,
 )
 from repro.runtime.options import EnsembleOptions, SolveRequest
 from repro.runtime.service import (
@@ -75,8 +73,6 @@ __all__ = [
     "JobState",
     "ResultIntegrityError",
     "RunTelemetry",
-    "ShardFaultKind",
-    "ShardFaultPlan",
     "SolveRequest",
     "WorkerPool",
     "solve_async",

@@ -223,125 +223,6 @@ class FaultPlan:
         return tuple(kinds)
 
 
-class ShardFaultKind(str, Enum):
-    """The shard-tier fault classes the gateway chaos layer can inject.
-
-    * ``SHARD_CRASH`` — the whole shard service shuts down hard
-      mid-flight (admitted jobs die with it), as if its process was
-      OOM-killed.
-    * ``PROBE_BLACKHOLE`` — the shard stays up but its health probe
-      goes unanswered, as if a network partition separated the router
-      from a healthy shard.
-    * ``STREAM_STALL`` — jobs running on the shard stop producing
-      telemetry frames without failing, as if a worker wedged while
-      holding the stream open.
-    """
-
-    SHARD_CRASH = "shard-crash"
-    PROBE_BLACKHOLE = "probe-blackhole"
-    STREAM_STALL = "stream-stall"
-
-
-@dataclass(frozen=True)
-class ShardFaultPlan:
-    """Seeded, reproducible *shard-tier* fault schedule for gateway
-    chaos runs — :class:`FaultPlan` one level up.
-
-    Probabilities are *per probe tick*: for each ``(shard index,
-    tick)`` pair one uniform draw (derived purely from ``(plan seed,
-    shard index, tick)``) selects at most one fault kind.  Ticks at or
-    beyond ``max_fault_ticks`` are always clean, which is what lets a
-    chaos gateway quiesce: after the fault window closes, probes
-    succeed, evicted shards re-admit through probation, and every
-    failed-over job still converges to its fault-free, bit-identical
-    result.
-
-    Parameters
-    ----------
-    seed:
-        Chaos seed; the whole schedule is a pure function of it.
-    crash_rate, blackhole_rate, stall_rate:
-        Per-tick probability of each fault kind (their sum must be
-        <= 1).
-    max_fault_ticks:
-        Probe ticks ``0 .. max_fault_ticks-1`` may draw a fault; later
-        ticks never do.
-    """
-
-    seed: int = 0
-    crash_rate: float = 0.0
-    blackhole_rate: float = 0.0
-    stall_rate: float = 0.0
-    max_fault_ticks: int = 8
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise AnnealerError(f"chaos seed must be >= 0, got {self.seed}")
-        rates = {
-            "crash_rate": self.crash_rate,
-            "blackhole_rate": self.blackhole_rate,
-            "stall_rate": self.stall_rate,
-        }
-        for name, rate in rates.items():
-            if not 0.0 <= rate <= 1.0:
-                raise AnnealerError(f"{name} must be in [0, 1], got {rate}")
-        if sum(rates.values()) > 1.0 + 1e-12:
-            raise AnnealerError(
-                f"fault rates must sum to <= 1, got {sum(rates.values())}"
-            )
-        if self.max_fault_ticks < 0:
-            raise AnnealerError(
-                f"max_fault_ticks must be >= 0, got {self.max_fault_ticks}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """True when any fault kind has a non-zero rate."""
-        return (
-            self.crash_rate > 0
-            or self.blackhole_rate > 0
-            or self.stall_rate > 0
-        )
-
-    def fault_for(
-        self, shard_index: int, tick: int
-    ) -> Optional[ShardFaultKind]:
-        """The fault scheduled for ``(shard_index, tick)``, if any.
-
-        Pure: independent of call order — a test can enumerate the
-        whole schedule up front and the live prober always agrees.
-        """
-        if tick >= self.max_fault_ticks or not self.enabled:
-            return None
-        stream = RandomState(self.seed).child(
-            f"shard-fault/{int(shard_index)}/{int(tick)}"
-        )
-        draw = float(stream.random())
-        edge = self.crash_rate
-        if draw < edge:
-            return ShardFaultKind.SHARD_CRASH
-        edge += self.blackhole_rate
-        if draw < edge:
-            return ShardFaultKind.PROBE_BLACKHOLE
-        edge += self.stall_rate
-        if draw < edge:
-            return ShardFaultKind.STREAM_STALL
-        return None
-
-    def faults_for_shard(
-        self, shard_index: int, n_ticks: int
-    ) -> Tuple[Tuple[int, str], ...]:
-        """``(tick, kind)`` pairs scheduled over a shard's first
-        ``n_ticks`` probe ticks, in tick order (test/seed-search
-        helper)."""
-        events = []
-        for tick in range(n_ticks):
-            kind = self.fault_for(shard_index, tick)
-            if kind is not None:
-                events.append((tick, kind.value))
-        return tuple(events)
-
-
 class FaultInjector:
     """Executes a :class:`FaultPlan` around one solve attempt.
 

@@ -41,7 +41,7 @@ def check_label(what: str, label: str) -> None:
     """Reject a label that cannot sit inside a job id.
 
     Tags and service names end up in job ids and ``worker`` fields
-    (``shard0/pool@<tag>-0001``) and in ``/v1/jobs/<id>`` URLs, so
+    (``pool@<tag>-0001``) and in ``/v1/jobs/<id>`` URLs, so
     only ASCII letters, digits, ``-`` and ``_`` are allowed.
     """
     if not _LABEL.fullmatch(label):
@@ -239,10 +239,9 @@ class SolveRequest:
         End-to-end wall-clock budget for the whole request, measured
         from admission.  ``None`` (default) means unbounded.  The
         serving runtime rejects the request up front when the budget is
-        already spent, cancels the solve cooperatively when it expires
-        mid-run, and — across gateway failovers — re-dispatches with
-        only the *remaining* budget, so retries can never extend the
-        total wall time (:class:`~repro.errors.DeadlineExceededError`).
+        already spent and cancels the solve cooperatively when it
+        expires mid-run, so retries can never extend the total wall
+        time (:class:`~repro.errors.DeadlineExceededError`).
     """
 
     instance: "ProblemLike"

@@ -278,6 +278,14 @@ class AnnealingService:
         return self._pool.rebuilds if self._pool is not None else 0
 
     @property
+    def pool_spent(self) -> bool:
+        """True once the pool is down for good: it could not be built,
+        or a break found its heal budget spent.  Jobs still run, on the
+        executor's serial fallback.  Always False without a pool
+        (``max_workers == 1``)."""
+        return self._pool is not None and self._pool.executor is None
+
+    @property
     def inflight_jobs(self) -> int:
         """Jobs admitted and not yet settled (queued or running)."""
         return self._inflight
@@ -318,21 +326,14 @@ class AnnealingService:
             )
         self._started = True
 
-    async def submit(
-        self, request: SolveRequest, *, job_id: Optional[str] = None
-    ) -> Job:
+    async def submit(self, request: SolveRequest) -> Job:
         """Admit one request; returns its :class:`Job` handle.
 
+        The job's id is ``<tag>-NNNN`` (``job-NNNN`` without a tag).
         Applies backpressure: when ``max_pending_jobs`` jobs are
         already admitted and unfinished, this awaits until a slot
         frees.  Raises :class:`AnnealerError` once the service is shut
         down.
-
-        ``job_id`` overrides the generated ``<tag>-NNNN`` id; a
-        front-end that owns the id space (the gateway router names
-        jobs before fanning them to shards) passes it so the id in
-        each record's ``worker`` field matches the id it handed to the
-        client.  Duplicate ids are rejected.
         """
         if not isinstance(request, SolveRequest):
             raise AnnealerError(
@@ -361,13 +362,8 @@ class AnnealingService:
                     f"deadline of {request.deadline_s}s spent waiting for "
                     "admission; rejecting instead of admitting a doomed job"
                 )
-        if job_id is None:
-            label = request.tag or "job"
-            job_id = f"{label}-{next(self._counter):04d}"
-        if job_id in self._jobs:
-            self._admission.release()
-            raise AnnealerError(f"duplicate job id {job_id!r}")
-        job = Job(job_id, request)
+        label = request.tag or "job"
+        job = Job(f"{label}-{next(self._counter):04d}", request)
         if remaining is not None:
             job._deadline_handle = self._loop.call_later(
                 remaining, job._deadline_fire

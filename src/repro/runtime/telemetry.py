@@ -144,11 +144,8 @@ class RunTelemetry:
         solved in-process (serial path or retry fallback).  The
         serving runtime (:mod:`repro.runtime.service`) threads the job
         id through as a suffix — ``"pool@job-0001"`` — so records from
-        jobs multiplexed onto one shared pool stay attributable; a
-        *named* service (a gateway shard) additionally prepends its
-        shard segment — ``"shard0/pool@job-0001"`` — so records from
-        sharded gateways stay attributable too.  Parse the pieces back
-        with :attr:`job_id` and :attr:`shard`.
+        jobs multiplexed onto one shared pool stay attributable.
+        Parse the job id back with :attr:`job_id`.
     error:
         Repr of the terminal failure, empty on success.
     backend:
@@ -260,17 +257,6 @@ class RunTelemetry:
         """
         _, sep, job = self.worker.partition("@")
         return job if sep else ""
-
-    @property
-    def shard(self) -> str:
-        """Shard segment of ``worker`` (``"shard0"`` of
-        ``"shard0/pool@job-0001"``).
-
-        Empty for records produced outside a named service (a plain
-        service or a direct executor run).
-        """
-        head, sep, _ = self.worker.partition("/")
-        return head if sep else ""
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-native dict view."""

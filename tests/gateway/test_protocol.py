@@ -728,7 +728,7 @@ class TestTelemetryFrames:
             trials_proposed=100,
             trials_accepted=10,
             retries=1,
-            worker="shard1/pool@job-0007",
+            worker="pool@job-0007",
             faults_injected=["crash"],
             backoff_s=0.05,
             first_error="AnnealerError('injected')",
@@ -742,8 +742,7 @@ class TestTelemetryFrames:
         back = parse_telemetry_frame(line)
         assert back == parse_telemetry_frame(back.to_json_line())
         assert back.seed == 4
-        assert back.worker == "shard1/pool@job-0007"
-        assert back.shard == "shard1"
+        assert back.worker == "pool@job-0007"
         assert back.job_id == "job-0007"
         assert back.faults_injected == ["crash"]
 
@@ -787,10 +786,10 @@ class TestResponsePayloads:
         assert payload["retry"] is True
 
     def test_job_payload_versioned(self):
-        payload = job_payload("job-0001", "pending", "shard0", seeds=3)
+        payload = job_payload("job-0001", "pending", seeds=3)
         assert payload["schema"] == "repro.job/v1"
         assert payload["job_id"] == "job-0001"
-        assert payload["shard"] == "shard0"
+        assert "shard" not in payload
         assert payload["seeds"] == 3
 
     def test_request_schema_constant(self, make_request):

@@ -1,4 +1,4 @@
-"""Shard routing: policies, backpressure aggregation, metrics."""
+"""The gateway router: one service, non-blocking admission, metrics."""
 
 from __future__ import annotations
 
@@ -9,96 +9,30 @@ import pytest
 from repro.errors import GatewayError
 from repro.gateway.router import (
     GatewayOverloadedError,
-    LeastInflightPolicy,
-    RoundRobinPolicy,
     ShardRouter,
     UnknownJobError,
-    policy_from_name,
 )
 from repro.runtime.options import EnsembleOptions
-
-
-class TestPolicyRegistry:
-    def test_round_robin_by_name(self):
-        assert isinstance(policy_from_name("round-robin"), RoundRobinPolicy)
-
-    def test_least_inflight_by_name(self):
-        assert isinstance(
-            policy_from_name("least-inflight"), LeastInflightPolicy
-        )
-
-    def test_unknown_policy_lists_known(self):
-        with pytest.raises(GatewayError, match="least-inflight.*round-robin"):
-            policy_from_name("random")
-
-    def test_each_call_builds_fresh_state(self):
-        # Round-robin keeps a cursor; two routers must not share it.
-        assert policy_from_name("round-robin") is not policy_from_name(
-            "round-robin"
-        )
-
-
-class _FakeShard:
-    """Just enough of AnnealingService for choose()."""
-
-    def __init__(self, inflight: int, cap: int = 100) -> None:
-        self.inflight_jobs = inflight
-        self.at_capacity = inflight >= cap
-
-
-class TestPolicyChoice:
-    def test_round_robin_rotates(self):
-        policy = RoundRobinPolicy()
-        shards = [_FakeShard(0), _FakeShard(0), _FakeShard(0)]
-        picks = [policy.choose([0, 1, 2], shards) for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
-
-    def test_round_robin_skips_full_shards(self):
-        policy = RoundRobinPolicy()
-        shards = [_FakeShard(0), _FakeShard(0), _FakeShard(0)]
-        picks = [policy.choose([0, 2], shards) for _ in range(4)]
-        assert picks == [0, 2, 0, 2]
-
-    def test_least_inflight_picks_emptiest(self):
-        policy = LeastInflightPolicy()
-        shards = [_FakeShard(3), _FakeShard(1), _FakeShard(2)]
-        assert policy.choose([0, 1, 2], shards) == 1
-
-    def test_least_inflight_ties_break_low_index(self):
-        policy = LeastInflightPolicy()
-        shards = [_FakeShard(2), _FakeShard(2), _FakeShard(2)]
-        assert policy.choose([0, 1, 2], shards) == 0
-
-    def test_least_inflight_respects_candidates(self):
-        policy = LeastInflightPolicy()
-        shards = [_FakeShard(0), _FakeShard(1), _FakeShard(2)]
-        assert policy.choose([1, 2], shards) == 1
+from repro.runtime.service import Job
 
 
 class TestRouterLifecycle:
-    def test_needs_at_least_one_shard(self):
-        with pytest.raises(GatewayError, match="at least one shard"):
-            ShardRouter(shards=0)
+    async def test_service_started_and_ready(self):
+        async with ShardRouter() as router:
+            assert router.service.started
+            assert router.ready
 
-    async def test_shards_named_and_started(self):
-        async with ShardRouter(shards=3) as router:
-            assert [s.name for s in router.shards] == [
-                "shard0",
-                "shard1",
-                "shard2",
-            ]
-            assert all(s.started for s in router.shards)
-
-    async def test_shutdown_stops_all_shards(self):
-        router = ShardRouter(shards=2)
+    async def test_shutdown_stops_the_service(self):
+        router = ShardRouter()
         await router.start()
         await router.shutdown()
-        assert all(not s.started for s in router.shards)
+        assert not router.service.started
+        assert not router.ready
         with pytest.raises(GatewayError, match="shut down"):
             await router.submit(None)  # rejected before type checks
 
     async def test_submit_autostarts(self, make_request):
-        router = ShardRouter(shards=2)
+        router = ShardRouter()
         try:
             job = await router.submit(make_request((1,)))
             assert (await job.result()).n_runs == 1
@@ -107,99 +41,62 @@ class TestRouterLifecycle:
 
 
 class TestRouting:
-    async def test_job_ids_unique_across_shards(self, make_request):
-        async with ShardRouter(shards=2) as router:
+    async def test_job_ids_unique(self, make_request):
+        async with ShardRouter() as router:
             jobs = [await router.submit(make_request((s,))) for s in range(4)]
             ids = [j.job_id for j in jobs]
             assert len(set(ids)) == 4
-            assert {j.shard_name for j in jobs} == {"shard0", "shard1"}
+            assert ids == ["t-0001", "t-0002", "t-0003", "t-0004"]
             for job in jobs:
                 await job.result()
 
-    async def test_worker_records_carry_shard_segment(self, make_request):
-        async with ShardRouter(shards=2) as router:
+    async def test_worker_records_carry_job_id(self, make_request):
+        async with ShardRouter() as router:
             job = await router.submit(make_request((1, 2)))
             await job.result()
             assert len(job.records) == 2
             for record in job.records:
-                assert record.shard == job.shard_name
                 assert record.job_id == job.job_id
-                assert record.worker == (
-                    f"{job.shard_name}/serial@{job.job_id}"
-                )
-
-    async def test_least_inflight_spreads_concurrent_jobs(self, make_request):
-        options = EnsembleOptions(max_pending_jobs=8)
-        async with ShardRouter(
-            options, shards=2, policy="least-inflight"
-        ) as router:
-            # Submit 4 jobs without awaiting any: all stay in flight, so
-            # least-inflight must alternate shards 2/2 rather than pile
-            # onto one.
-            jobs = [
-                await router.submit(make_request((10 + i,))) for i in range(4)
-            ]
-            placements = [j.shard_name for j in jobs]
-            assert placements.count("shard0") == 2
-            assert placements.count("shard1") == 2
-            for job in jobs:
-                await job.result()
-
-    async def test_round_robin_alternates(self, make_request):
-        async with ShardRouter(shards=2, policy="round-robin") as router:
-            jobs = [
-                await router.submit(make_request((20 + i,))) for i in range(4)
-            ]
-            assert [j.shard_name for j in jobs] == [
-                "shard0",
-                "shard1",
-                "shard0",
-                "shard1",
-            ]
-            for job in jobs:
-                await job.result()
+                assert record.worker == f"serial@{job.job_id}"
 
     async def test_get_returns_routed_job(self, make_request):
-        async with ShardRouter(shards=2) as router:
+        async with ShardRouter() as router:
             job = await router.submit(make_request((1,)))
             assert router.get(job.job_id) is job
+            # The handle is the service's own job, not a wrapper.
+            assert type(job) is Job
             await job.result()
 
     async def test_get_unknown_job_raises(self):
-        async with ShardRouter(shards=1) as router:
+        async with ShardRouter() as router:
             with pytest.raises(UnknownJobError, match="nope"):
                 router.get("nope")
 
 
 class TestBackpressure:
-    async def test_all_shards_full_rejects(self, make_request):
-        # One pending slot per shard; jobs that cannot finish until we
-        # let them (their seeds solve fast, but we hold the admission
-        # slot by never awaiting) — use a 1-slot admission and fill it.
+    async def test_full_service_rejects(self, make_request):
+        # A 1-slot admission holding one job that cannot settle until
+        # the loop runs again: the next submit must reject, not queue.
         options = EnsembleOptions(max_pending_jobs=1)
-        async with ShardRouter(options, shards=2) as router:
+        async with ShardRouter(options) as router:
             first = await router.submit(make_request((1,)))
-            second = await router.submit(make_request((2,)))
-            # Both shards now hold their single admitted job.  A third
-            # submit must reject, not queue.
-            if not all(s.at_capacity for s in router.shards):
-                pytest.skip("jobs settled before overload could be observed")
+            if not router.service.at_capacity:
+                pytest.skip("job settled before overload could be observed")
             with pytest.raises(GatewayOverloadedError, match="at capacity"):
-                await router.submit(make_request((3,)))
+                await router.submit(make_request((2,)))
             metrics = router.metrics()
             assert metrics["jobs_rejected"] == 1
             await first.result()
-            await second.result()
 
     async def test_capacity_frees_after_settle(self, make_request):
         options = EnsembleOptions(max_pending_jobs=1)
-        async with ShardRouter(options, shards=1) as router:
+        async with ShardRouter(options) as router:
             job = await router.submit(make_request((1,)))
             await job.result()
             # The admission slot is released via the settle callback;
             # yield until the router sees it.
             for _ in range(100):
-                if not router.shards[0].at_capacity:
+                if not router.service.at_capacity:
                     break
                 await asyncio.sleep(0.01)
             replacement = await router.submit(make_request((2,)))
@@ -208,7 +105,7 @@ class TestBackpressure:
 
 class TestMetrics:
     async def test_metrics_shape_and_counts(self, make_request):
-        async with ShardRouter(shards=2, policy="round-robin") as router:
+        async with ShardRouter() as router:
             jobs = [
                 await router.submit(make_request((30 + i,))) for i in range(3)
             ]
@@ -216,25 +113,21 @@ class TestMetrics:
                 await job.result()
             metrics = router.metrics()
             assert metrics["schema"] == "repro.gateway_metrics/v1"
-            assert metrics["policy"] == "round-robin"
-            assert metrics["shards"] == 2
+            assert metrics["workers"] == 1
             assert metrics["jobs_submitted"] == 3
             assert metrics["jobs_rejected"] == 0
-            per_shard = metrics["per_shard"]
-            assert [s["name"] for s in per_shard] == ["shard0", "shard1"]
-            assert sum(s["jobs"] for s in per_shard) == 3
-            # Round-robin: shard0 got 2 jobs, shard1 got 1.
-            assert [s["jobs"] for s in per_shard] == [2, 1]
-            for shard in per_shard:
-                assert shard["pool_rebuilds"] == 0
-                assert shard["faults_by_kind"] == {}
-                assert "inflight" in shard and "skips" in shard
+            assert metrics["pool_rebuilds"] == 0
+            assert metrics["states"] == {"done": 3}
+            assert metrics["faults_by_kind"] == {}
+            # Kept for benchmarks/perf, which reads them.
+            assert metrics["failovers"] == 0
+            assert metrics["per_shard"] == [{"jobs": 3}]
 
     async def test_metrics_count_jobs_by_backend(self, make_request):
         from repro.ising.simcim import random_ising_model
         from repro.runtime.options import SolveRequest
 
-        async with ShardRouter(shards=2) as router:
+        async with ShardRouter() as router:
             jobs = [await router.submit(make_request((i,))) for i in range(2)]
             spin_glass = SolveRequest.build(
                 random_ising_model(8, seed=1), (5,), backend="simcim"
@@ -249,7 +142,7 @@ class TestMetrics:
             }
 
     async def test_backend_counter_absent_until_first_submit(self):
-        async with ShardRouter(shards=1) as router:
+        async with ShardRouter() as router:
             assert router.metrics()["jobs_by_backend"] == {}
             assert router.metrics()["jobs_by_problem_kind"] == {}
 
@@ -257,7 +150,7 @@ class TestMetrics:
         from repro.problems import make_problem
         from repro.runtime.options import SolveRequest
 
-        async with ShardRouter(shards=2) as router:
+        async with ShardRouter() as router:
             jobs = [await router.submit(make_request((i,))) for i in range(2)]
             for family, backend in (
                 ("coloring", "cluster-cim"),
@@ -285,12 +178,11 @@ class TestMetrics:
             backoff_base_s=0.0,
             fault_plan=FaultPlan(seed=11, crash_rate=1.0, max_faults_per_run=1),
         )
-        async with ShardRouter(shards=2) as router:
+        async with ShardRouter() as router:
             job = await router.submit(
                 make_request((1, 2, 3), options=options)
             )
             await job.result()
             metrics = router.metrics()
-            shard = metrics["per_shard"][job.shard_index]
-            assert shard["faults_by_kind"].get("crash", 0) == 3
-            assert shard["states"].get("done") == 1
+            assert metrics["faults_by_kind"].get("crash", 0) == 3
+            assert metrics["states"].get("done") == 1

@@ -32,13 +32,8 @@ from repro.runtime.options import EnsembleOptions
 class _GatewayThread:
     """A live gateway on a background thread (blocking-client tests)."""
 
-    def __init__(
-        self,
-        shards: int = 2,
-        policy: str = "round-robin",
-        options: Optional[EnsembleOptions] = None,
-    ) -> None:
-        self._router_args = (options, shards, policy)
+    def __init__(self, options: Optional[EnsembleOptions] = None) -> None:
+        self._options = options
         self.url = ""
         self._ready = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -49,9 +44,7 @@ class _GatewayThread:
         asyncio.run(self._serve())
 
     async def _serve(self) -> None:
-        options, shards, policy = self._router_args
-        router = ShardRouter(options, shards=shards, policy=policy)
-        async with GatewayServer(router) as server:
+        async with GatewayServer(ShardRouter(self._options)) as server:
             self.url = server.url
             self._loop = asyncio.get_running_loop()
             self._stop = asyncio.Event()
@@ -72,15 +65,15 @@ class _GatewayThread:
 class TestEndToEnd:
     def test_http_result_bit_identical_to_in_process(self, make_request):
         """The acceptance bar: a TSP request submitted over HTTP to a
-        2-shard gateway streams its frames and returns the same
-        seed-ordered tours as an in-process solve_ensemble."""
+        gateway on a 2-worker pool streams its frames and returns the
+        same seed-ordered tours as an in-process solve_ensemble."""
         request = make_request((3, 1, 2), tag="e2e")
         local = solve_ensemble(request)
-        with _GatewayThread(shards=2) as gateway:
+        with _GatewayThread(EnsembleOptions(max_workers=2)) as gateway:
             client = GatewayClient(gateway.url)
             handle = client.submit(request)
             assert handle["schema"] == "repro.job/v1"
-            assert handle["shard"] in ("shard0", "shard1")
+            assert "shard" not in handle
             job_id = str(handle["job_id"])
             assert job_id.startswith("e2e-")
 
@@ -88,11 +81,12 @@ class TestEndToEnd:
             assert sorted(r.seed for r in streamed) == [1, 2, 3]
             for record in streamed:
                 assert record.ok
-                assert record.shard == handle["shard"]
+                assert record.worker == f"pool@{job_id}"
                 assert record.job_id == job_id
 
             result = client.result(job_id)
         assert result["schema"] == "repro.job_result/v1"
+        assert "shard" not in result
         assert result["state"] == "done"
         # Seed order on the wire is the request's seed order.
         assert result["seeds"] == [3, 1, 2]
@@ -104,7 +98,7 @@ class TestEndToEnd:
         assert stats["mean"] == pytest.approx(local.ratio_stats.mean)
 
     def test_stream_replays_after_completion(self, make_request):
-        with _GatewayThread(shards=2) as gateway:
+        with _GatewayThread() as gateway:
             client = GatewayClient(gateway.url)
             handle = client.submit(make_request((7, 8)))
             job_id = str(handle["job_id"])
@@ -113,12 +107,12 @@ class TestEndToEnd:
             assert sorted(r.seed for r in late) == [7, 8]
 
     def test_solve_convenience_round_trip(self, make_request):
-        with _GatewayThread(shards=1) as gateway:
+        with _GatewayThread() as gateway:
             result = GatewayClient(gateway.url).solve(make_request((5,)))
             assert result["seeds"] == [5]
 
     def test_metrics_reflect_submissions(self, make_request):
-        with _GatewayThread(shards=2) as gateway:
+        with _GatewayThread() as gateway:
             client = GatewayClient(gateway.url)
             handle = client.submit(make_request((1,)))
             client.result(str(handle["job_id"]))
@@ -155,7 +149,7 @@ class TestBackendsOverHTTP:
         }
         assert tuple(sorted(requests)) == list_backends()
 
-        async with GatewayServer(ShardRouter(shards=2)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             client = AsyncGatewayClient(server.url)
             for name, request in requests.items():
                 handle = await client.submit(request)
@@ -175,7 +169,7 @@ class TestBackendsOverHTTP:
         from repro.runtime.options import SolveRequest
 
         request = SolveRequest.build(instance, (1,))
-        async with GatewayServer(ShardRouter(shards=1)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             client = AsyncGatewayClient(server.url)
             handle = await client.submit(request, backend="dense-ising")
             result = await client.result(str(handle["job_id"]))
@@ -191,7 +185,7 @@ class TestBackendsOverHTTP:
         # wire, with the same error a direct SolveRequest.build gives.
         from repro.errors import AnnealerError
 
-        async with GatewayServer(ShardRouter(shards=1)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             client = AsyncGatewayClient(server.url)
             with pytest.raises(
                 AnnealerError, match="does not take an AnnealerConfig"
@@ -206,7 +200,7 @@ class TestBackendsOverHTTP:
         from repro.runtime.options import SolveRequest
 
         request = SolveRequest.build(instance, (2,))
-        with _GatewayThread(shards=1) as gateway:
+        with _GatewayThread() as gateway:
             client = GatewayClient(gateway.url)
             result = client.solve(request, backend="dense-ising")
             assert result["state"] == "done"
@@ -216,7 +210,7 @@ class TestBackendsOverHTTP:
 
 class TestAsyncClient:
     async def test_submit_stream_result_in_loop(self, make_request):
-        async with GatewayServer(ShardRouter(shards=2)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             client = AsyncGatewayClient(server.url)
             handle = await client.submit(make_request((4, 5)))
             job_id = str(handle["job_id"])
@@ -227,24 +221,6 @@ class TestAsyncClient:
             result = await client.result(job_id)
             assert result["seeds"] == [4, 5]
 
-    async def test_least_inflight_spreads_over_http(self, make_request):
-        router = ShardRouter(
-            EnsembleOptions(max_pending_jobs=8),
-            shards=2,
-            policy="least-inflight",
-        )
-        async with GatewayServer(router) as server:
-            client = AsyncGatewayClient(server.url)
-            handles = [
-                await client.submit(make_request((40 + i,)))
-                for i in range(4)
-            ]
-            placements = [h["shard"] for h in handles]
-            assert placements.count("shard0") == 2
-            assert placements.count("shard1") == 2
-            for handle in handles:
-                await client.result(str(handle["job_id"]))
-
     async def test_late_join_sse_replays_full_stream(self, make_request):
         """A subscriber attaching *after* the job finished must get the
         complete replay on the wire: one ``run`` SSE frame per seed (in
@@ -252,7 +228,7 @@ class TestAsyncClient:
         one ``end`` event carrying the final state — not an empty or
         truncated stream."""
         seeds = (11, 12, 13)
-        async with GatewayServer(ShardRouter(shards=1)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             client = AsyncGatewayClient(server.url)
             handle = await client.submit(make_request(seeds))
             job_id = str(handle["job_id"])
@@ -295,7 +271,7 @@ class TestAsyncClient:
         assert end["records"] == len(seeds)
 
     async def test_cancel_mid_stream(self, make_request):
-        async with GatewayServer(ShardRouter(shards=1)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             client = AsyncGatewayClient(server.url)
             handle = await client.submit(make_request(tuple(range(10))))
             job_id = str(handle["job_id"])
@@ -312,9 +288,33 @@ class TestAsyncClient:
             assert err.value.payload["error"] == "cancelled"
 
 
+class TestDeadlines:
+    async def test_deadline_exceeded_mid_run_answers_504(self, make_request):
+        # 32 fast seeds need ~0.5s; a 0.2s deadline expires mid-run.
+        request = make_request(tuple(range(1, 33)), deadline_s=0.2)
+        async with GatewayServer(ShardRouter()) as server:
+            client = AsyncGatewayClient(server.url)
+            handle = await client.submit(request)
+            job_id = str(handle["job_id"])
+            with pytest.raises(GatewayHTTPError) as err:
+                await client.result(job_id)
+            assert err.value.status == 504
+            assert err.value.payload["error"] == "deadline_exceeded"
+            assert err.value.payload["job_id"] == job_id
+
+    async def test_generous_deadline_completes(self, make_request):
+        request = make_request((1, 2), deadline_s=60.0)
+        async with GatewayServer(ShardRouter()) as server:
+            client = AsyncGatewayClient(server.url)
+            handle = await client.submit(request)
+            result = await client.result(str(handle["job_id"]))
+            assert result["state"] == "done"
+            assert result["seeds"] == [1, 2]
+
+
 class TestHTTPErrors:
     async def test_unknown_job_404(self):
-        async with GatewayServer(ShardRouter(shards=1)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             client = AsyncGatewayClient(server.url)
             with pytest.raises(GatewayHTTPError) as err:
                 await client.result("ghost-0001")
@@ -328,7 +328,7 @@ class TestHTTPErrors:
             assert "ghost-0001" in str(err.value)
 
     async def test_unknown_route_404(self):
-        async with GatewayServer(ShardRouter(shards=1)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             status, payload = await _raw_request(
                 server, "GET /v2/jobs HTTP/1.1\r\n\r\n"
             )
@@ -336,7 +336,7 @@ class TestHTTPErrors:
             assert payload["error"] == "not_found"
 
     async def test_wrong_method_405(self):
-        async with GatewayServer(ShardRouter(shards=1)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             status, payload = await _raw_request(
                 server, "PUT /v1/jobs HTTP/1.1\r\n\r\n"
             )
@@ -344,7 +344,7 @@ class TestHTTPErrors:
             assert payload["error"] == "method_not_allowed"
 
     async def test_non_json_body_400(self):
-        async with GatewayServer(ShardRouter(shards=1)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             body = "not json"
             status, payload = await _raw_request(
                 server,
@@ -357,7 +357,7 @@ class TestHTTPErrors:
     async def test_schema_violation_400(self, make_request):
         from repro.gateway import encode_solve_request
 
-        async with GatewayServer(ShardRouter(shards=1)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             wire = encode_solve_request(make_request())
             wire["schema"] = "repro.solve_request/v99"
             body = json.dumps(wire)
@@ -372,7 +372,7 @@ class TestHTTPErrors:
     async def test_tag_breaking_job_id_400(self, make_request):
         from repro.gateway import encode_solve_request
 
-        async with GatewayServer(ShardRouter(shards=1)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             wire = encode_solve_request(make_request())
             # "team/a-0001" would be unreachable under /v1/jobs/<id>.
             wire["tag"] = "team/a"
@@ -388,7 +388,7 @@ class TestHTTPErrors:
             assert "tag may use only" in payload["message"]
 
     async def test_oversized_body_413(self):
-        async with GatewayServer(ShardRouter(shards=1)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             status, payload = await _raw_request(
                 server,
                 "POST /v1/jobs HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
@@ -397,21 +397,19 @@ class TestHTTPErrors:
             assert payload["error"] == "too_large"
 
     async def test_malformed_request_line_400(self):
-        async with GatewayServer(ShardRouter(shards=1)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             status, payload = await _raw_request(server, "GARBAGE\r\n\r\n")
             assert status == 400
             assert "malformed request line" in payload["message"]
 
     async def test_overload_429(self, make_request):
-        router = ShardRouter(
-            EnsembleOptions(max_pending_jobs=1), shards=1
-        )
+        router = ShardRouter(EnsembleOptions(max_pending_jobs=1))
         async with GatewayServer(router) as server:
             # submit_retries=0: the default retry policy would wait for
             # the queue to drain and defeat the overload observation.
             client = AsyncGatewayClient(server.url, submit_retries=0)
             first = await client.submit(make_request(tuple(range(5))))
-            if not router.shards[0].at_capacity:
+            if not router.service.at_capacity:
                 pytest.skip("job settled before overload could be observed")
             with pytest.raises(GatewayHTTPError) as err:
                 await client.submit(make_request((99,)))
@@ -421,7 +419,7 @@ class TestHTTPErrors:
             await client.result(str(first["job_id"]))
 
     def test_sync_client_maps_status(self, make_request):
-        with _GatewayThread(shards=1) as gateway:
+        with _GatewayThread() as gateway:
             client = GatewayClient(gateway.url)
             with pytest.raises(GatewayHTTPError) as err:
                 client.result("ghost-0001")
@@ -436,29 +434,64 @@ class TestHTTPErrors:
 
 class TestHealthEndpoints:
     async def test_healthz_alive(self):
-        async with GatewayServer(ShardRouter(shards=2)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             status, payload = await _raw_request(
                 server, "GET /healthz HTTP/1.1\r\n\r\n"
             )
         assert status == 200
         assert payload["schema"] == "repro.health/v1"
         assert payload["status"] == "alive"
-        assert payload["shards"] == 2
 
-    async def test_readyz_ready_with_healthy_shards(self):
-        async with GatewayServer(ShardRouter(shards=2)) as server:
+    async def test_readyz_ready(self):
+        router = ShardRouter(EnsembleOptions(max_workers=2))
+        async with GatewayServer(router) as server:
             status, payload = await _raw_request(
                 server, "GET /readyz HTTP/1.1\r\n\r\n"
             )
         assert status == 200
         assert payload["schema"] == "repro.health/v1"
         assert payload["status"] == "ready"
-        assert payload["shards"] == 2
-        assert payload["healthy_shards"] == 2
+        assert payload["workers"] == 2
 
-    async def test_readyz_503_when_every_shard_is_down(self):
-        async with GatewayServer(ShardRouter(shards=1)) as server:
-            await server.router.shards[0].shutdown(drain=False)
+    async def test_readyz_503_once_the_pool_is_spent(self, make_request):
+        # A heal budget of 0 and a fault plan that kills a worker on
+        # every first attempt: the first break spends the pool for
+        # good.  The job still completes on the serial fallback, but
+        # the gateway is no longer ready.
+        from repro.runtime.faults import FaultPlan
+
+        router = ShardRouter(
+            EnsembleOptions(max_workers=2, self_heal_budget=0)
+        )
+        faults = EnsembleOptions(
+            max_retries=2,
+            backoff_base_s=0.0,
+            fault_plan=FaultPlan(seed=4, broken_pool_rate=1.0),
+        )
+        async with GatewayServer(router) as server:
+            before, _ = await _raw_request(
+                server, "GET /readyz HTTP/1.1\r\n\r\n"
+            )
+            job = await router.submit(make_request((1, 2), options=faults))
+            result = await asyncio.wait_for(job.result(), 60)
+            status, payload = await _raw_request(
+                server, "GET /readyz HTTP/1.1\r\n\r\n"
+            )
+            alive_status, _ = await _raw_request(
+                server, "GET /healthz HTTP/1.1\r\n\r\n"
+            )
+        assert before == 200
+        assert result.n_runs == 2
+        assert result.telemetry.mode == "serial-fallback"
+        assert status == 503
+        assert payload["schema"] == "repro.error/v1"
+        assert payload["error"] == "not_ready"
+        assert payload["retry"] is True
+        assert alive_status == 200
+
+    async def test_readyz_503_after_service_shutdown(self):
+        async with GatewayServer(ShardRouter()) as server:
+            await server.router.service.shutdown(drain=False)
             status, payload = await _raw_request(
                 server, "GET /readyz HTTP/1.1\r\n\r\n"
             )
@@ -475,7 +508,7 @@ class TestHealthEndpoints:
         assert alive["status"] == "alive"
 
     async def test_health_endpoints_reject_post(self):
-        async with GatewayServer(ShardRouter(shards=1)) as server:
+        async with GatewayServer(ShardRouter()) as server:
             for path in ("/healthz", "/readyz"):
                 status, payload = await _raw_request(
                     server, f"POST {path} HTTP/1.1\r\n\r\n"

@@ -1,4 +1,4 @@
-"""End-to-end QUBO workloads through the shard router.
+"""End-to-end QUBO workloads through the gateway router.
 
 Every registered problem family travels the full serving path —
 ``make_problem`` → ``to_qubo`` → :class:`SolveRequest` →
@@ -41,7 +41,7 @@ class TestFamiliesEndToEnd:
     @pytest.mark.parametrize("family,backend", FAMILY_BACKENDS)
     async def test_solve_decode_validate(self, family, backend):
         problem, request = family_request(family, backend)
-        async with ShardRouter(shards=2) as router:
+        async with ShardRouter() as router:
             best = await routed_best(router, request)
         bits = np.asarray(best.tour, dtype=np.float64)
         assert bits.shape == (problem.to_qubo().n_vars,)
@@ -62,7 +62,7 @@ class TestFamiliesEndToEnd:
     @pytest.mark.parametrize("family,backend", FAMILY_BACKENDS)
     async def test_same_seed_bit_identical(self, family, backend):
         problem, request = family_request(family, backend)
-        async with ShardRouter(shards=2) as router:
+        async with ShardRouter() as router:
             first = await routed_best(router, request)
             again = await routed_best(router, request)
         np.testing.assert_array_equal(first.tour, again.tour)
@@ -78,7 +78,7 @@ class TestFamiliesEndToEnd:
             "coloring", "cluster-cim", seeds=(1, 2, 3)
         )
         backend = resolve_backend("cluster-cim")
-        async with ShardRouter(shards=2) as router:
+        async with ShardRouter() as router:
             job = await router.submit(request)
             result = await job.result()
         assert result.n_runs == 3

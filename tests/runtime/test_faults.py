@@ -20,8 +20,6 @@ from repro.runtime.faults import (
     FaultPlan,
     InjectedFault,
     ResultIntegrityError,
-    ShardFaultKind,
-    ShardFaultPlan,
 )
 from repro.runtime.options import EnsembleOptions
 from repro.tsp.generators import random_uniform
@@ -94,62 +92,6 @@ class TestFaultPlan:
     def test_faults_for_run_lists_attempt_order(self):
         plan = FaultPlan(seed=9, crash_rate=1.0, max_faults_per_run=2)
         assert plan.faults_for_run(4, 3) == ("crash", "crash")
-
-
-class TestShardFaultPlan:
-    def test_rates_validated(self):
-        with pytest.raises(AnnealerError, match="crash_rate"):
-            ShardFaultPlan(crash_rate=1.5)
-        with pytest.raises(AnnealerError, match="sum"):
-            ShardFaultPlan(crash_rate=0.6, stall_rate=0.6)
-        with pytest.raises(AnnealerError, match="chaos seed"):
-            ShardFaultPlan(seed=-1)
-        with pytest.raises(AnnealerError, match="max_fault_ticks"):
-            ShardFaultPlan(max_fault_ticks=-1)
-
-    def test_disabled_by_default(self):
-        plan = ShardFaultPlan(seed=1)
-        assert not plan.enabled
-        assert plan.fault_for(0, 0) is None
-
-    def test_schedule_is_pure(self):
-        plan = ShardFaultPlan(seed=7, crash_rate=0.3, blackhole_rate=0.2)
-        twin = ShardFaultPlan(seed=7, crash_rate=0.3, blackhole_rate=0.2)
-        draws = [(s, t) for s in range(8) for t in range(20)]
-        assert [plan.fault_for(s, t) for s, t in draws] == [
-            twin.fault_for(s, t) for s, t in draws
-        ]
-
-    def test_different_chaos_seeds_differ(self):
-        a = ShardFaultPlan(seed=1, crash_rate=0.5)
-        b = ShardFaultPlan(seed=2, crash_rate=0.5)
-        same = [a.fault_for(s, 0) == b.fault_for(s, 0) for s in range(64)]
-        assert not all(same)
-
-    def test_rates_roughly_respected(self):
-        plan = ShardFaultPlan(
-            seed=3, crash_rate=0.25, stall_rate=0.25, max_fault_ticks=1
-        )
-        kinds = [plan.fault_for(s, 0) for s in range(400)]
-        crash = sum(1 for k in kinds if k is ShardFaultKind.SHARD_CRASH)
-        stall = sum(1 for k in kinds if k is ShardFaultKind.STREAM_STALL)
-        assert 60 <= crash <= 140
-        assert 60 <= stall <= 140
-        assert ShardFaultKind.PROBE_BLACKHOLE not in kinds
-
-    def test_ticks_beyond_window_always_clean(self):
-        plan = ShardFaultPlan(seed=9, crash_rate=1.0, max_fault_ticks=2)
-        assert plan.fault_for(0, 0) is ShardFaultKind.SHARD_CRASH
-        assert plan.fault_for(0, 1) is ShardFaultKind.SHARD_CRASH
-        assert plan.fault_for(0, 2) is None
-        assert plan.fault_for(0, 99) is None
-
-    def test_faults_for_shard_lists_tick_order(self):
-        plan = ShardFaultPlan(seed=9, crash_rate=1.0, max_fault_ticks=2)
-        assert plan.faults_for_shard(4, 5) == (
-            (0, "shard-crash"),
-            (1, "shard-crash"),
-        )
 
 
 class TestFaultInjector:

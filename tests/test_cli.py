@@ -406,27 +406,28 @@ class TestSolveStream:
 
 
 class TestServeSubmitFlags:
-    """Parser-level pins for the gateway resilience flags (the live
+    """Parser-level pins for the serve and submit flags (the live
     serve/submit round trip runs in CI's gateway-smoke job)."""
 
-    def test_serve_resilience_defaults(self):
+    def test_serve_pool_defaults_to_cpu_count(self):
+        import os
+
         from repro.cli import _build_parser
 
         args = _build_parser().parse_args(["serve"])
-        assert args.probe_interval == 0.25
-        assert args.failover_budget == 2
-        assert args.stall_timeout == 30.0
+        assert args.workers == (os.cpu_count() or 1)
+        assert args.max_pending == 16
 
-    def test_serve_resilience_flags_parse(self):
+    @pytest.mark.parametrize(
+        "flag",
+        ["--shards", "--policy", "--probe-interval", "--failover-budget",
+         "--stall-timeout"],
+    )
+    def test_serve_shard_tier_flags_are_gone(self, flag):
         from repro.cli import _build_parser
 
-        args = _build_parser().parse_args(
-            ["serve", "--probe-interval", "0.05", "--failover-budget", "5",
-             "--stall-timeout", "2.5"]
-        )
-        assert args.probe_interval == 0.05
-        assert args.failover_budget == 5
-        assert args.stall_timeout == 2.5
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["serve", flag, "1"])
 
     def test_submit_deadline_flag(self):
         from repro.cli import _build_parser

@@ -86,8 +86,6 @@ class TestPublicAPI:
             "JobState",
             "ResultIntegrityError",
             "RunTelemetry",
-            "ShardFaultKind",
-            "ShardFaultPlan",
             "SolveRequest",
             "WorkerPool",
             "solve_async",
@@ -105,22 +103,15 @@ class TestPublicAPI:
             "AsyncGatewayClient",
             "GatewayClient",
             "GatewayHTTPError",
-            "GatewayJob",
             "GatewayOverloadedError",
             "GatewayServer",
             "GatewayUnavailableError",
-            "LeastInflightPolicy",
             "ProtocolError",
-            "RoundRobinPolicy",
-            "RoutingPolicy",
-            "ShardHealth",
             "ShardRouter",
-            "ShardState",
             "UnknownJobError",
             "decode_solve_request",
             "encode_solve_request",
             "parse_telemetry_frame",
-            "policy_from_name",
         ]
 
     def test_backends_surface_pinned(self):

@@ -32,7 +32,7 @@ appears at the same boundary: live connections.  A ``socket.socket()``
 default — the worker cannot pickle an open file descriptor, and even
 if it could, two processes writing one HTTP response is wrong.  The
 gateway keeps sockets on the event-loop side and ships only plain
-request data to the shards.
+request data to the worker pool.
 """
 
 from __future__ import annotations
