@@ -45,16 +45,13 @@ bench:
 bench-full:
 	REPRO_BENCH_SCALE=1.0 pytest benchmarks/ --benchmark-only
 
-# Append a run record to the machine-readable throughput logs:
-# BENCH_ensemble.json (one ensemble, serial vs pool vs batched),
-# BENCH_service.json (AnnealingService, concurrent jobs, shared pool),
-# and BENCH_workloads.json (QUBO problem families
-# x backends with per-step op counts).  Each run appends a timestamped
-# entry (schema repro.bench_log/v1) so the perf trajectory accumulates.
+# Append a run record to the machine-readable op-count log
+# BENCH_workloads.json (QUBO problem families x backends with per-step
+# op counts).  Each run appends a timestamped entry (schema
+# repro.bench_log/v1) so the trajectory accumulates.  Throughput is
+# measured by the repo benchmark (benchmarks/perf/), with repeats.
 bench-json:
-	pytest benchmarks/test_ext_ensemble_throughput.py \
-		benchmarks/test_ext_service_throughput.py \
-		benchmarks/test_ext_workloads.py --benchmark-only
+	pytest benchmarks/test_ext_workloads.py --benchmark-only
 
 examples:
 	python examples/quickstart.py

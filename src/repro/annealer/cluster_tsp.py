@@ -1,6 +1,7 @@
-"""Single-level clustered-TSP solve (Fig. 5a update loop).
+"""The level loop: one hierarchy level, R ≥ 1 replicas (Fig. 5a).
 
-Drives a :class:`repro.annealer.engine.ClusterLevelEngine` through the
+Drives the :class:`repro.annealer.engine.SwapKernel` over the level's
+engines — one per replica, a serial solve being R = 1 — through the
 paper's update schedule:
 
 * at every write-back boundary (each V_DD step), refresh the weights
@@ -10,15 +11,17 @@ paper's update schedule:
   phases in alternating parallel cycles (4 MAC cycles each), or one
   cluster at a time when ``parallel_update`` is off (the sequential
   Gibbs ablation);
-* charge the level's cycles, write-backs, and seam transfers to the
-  CIM chip once, in closed form (:func:`record_level_events`).
+* charge the level's cycles, write-backs, and seam transfers to each
+  replica's CIM chip once, in closed form (:func:`record_level_events`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence, Union, overload
 
-from repro.annealer.engine import ClusterLevelEngine
+import numpy as np
+
+from repro.annealer.engine import ClusterLevelEngine, SwapKernel
 from repro.annealer.result import LevelReport
 from repro.annealer.trace import ConvergenceTrace
 from repro.cim.macro import CIMChip
@@ -61,6 +64,7 @@ def record_level_events(
     chip.record_level_done()
 
 
+@overload
 def solve_level(
     engine: ClusterLevelEngine,
     schedule: VddSchedule,
@@ -69,50 +73,91 @@ def solve_level(
     trace: Optional[ConvergenceTrace] = None,
     trace_every: int = 10,
     parallel_update: bool = True,
-) -> LevelReport:
-    """Anneal one hierarchy level in place; return its report."""
+) -> LevelReport: ...
+
+
+@overload
+def solve_level(
+    engine: Sequence[ClusterLevelEngine],
+    schedule: VddSchedule,
+    level: int,
+    chip: Sequence[CIMChip] = (),
+    trace: Sequence[ConvergenceTrace] = (),
+    trace_every: int = 10,
+    parallel_update: bool = True,
+) -> List[LevelReport]: ...
+
+
+def solve_level(
+    engine: Union[ClusterLevelEngine, Sequence[ClusterLevelEngine]],
+    schedule: VddSchedule,
+    level: int,
+    chip: Union[None, CIMChip, Sequence[CIMChip]] = None,
+    trace: Union[None, ConvergenceTrace, Sequence[ConvergenceTrace]] = None,
+    trace_every: int = 10,
+    parallel_update: bool = True,
+) -> Union[LevelReport, List[LevelReport]]:
+    """Anneal one hierarchy level in place; return its report.
+
+    ``engine`` is one replica's engine, or a sequence of same-shape
+    engines (one per replica) with per-replica ``chip``/``trace``
+    sequences; a sequence gets one report per replica, each equal to
+    that replica's own serial solve.
+    """
     if trace_every < 1:
         raise AnnealerError(f"trace_every must be >= 1, got {trace_every}")
+    engines = [engine] if isinstance(engine, ClusterLevelEngine) else list(engine)
+    chips = [chip] if isinstance(chip, CIMChip) else list(chip or ())
+    traces = [trace] if isinstance(trace, ConvergenceTrace) else list(trace or ())
     watch = Stopwatch()
     controller = WritebackController(schedule=schedule)
-    objective_before = engine.objective()
-    proposed = accepted = 0
+    lead = engines[0]
+    kernel = lead.kernel if len(engines) == 1 else SwapKernel(engines)
+    # A serial phase runs through the engine, a batched one through the
+    # kernel: the same trials, under the two names the benchmark
+    # harness traces (``engine.trials`` and ``annealer.batch_kernel``).
+    run_phase = lead.run_phase_trials if kernel.R == 1 else kernel.run_phase
+    groups = (
+        lead.phase_groups()
+        if parallel_update
+        else [np.array([c]) for c in range(lead.K)]  # sequential Gibbs
+    )
+    phases = [kernel.windows_of(g) for g in groups]
+    before = [(e.objective(), e.trials_proposed, e.trials_accepted) for e in engines]
 
     for iteration in range(schedule.total_iterations):
         writeback, vdd, lsbs = controller.begin_iteration(iteration)
         if writeback:
-            engine.writeback(vdd, lsbs)
-
-        if trace is not None and iteration % trace_every == 0:
-            trace.record(level, iteration, engine.objective())
-
-        if parallel_update:
-            for group in engine.phase_groups():
-                n_prop, n_acc = engine.run_phase_trials(group)
-                proposed += n_prop
-                accepted += n_acc
-        else:
-            # Sequential Gibbs: one cluster per 4-cycle trial.
-            for c in range(engine.K):
-                n_prop, n_acc = engine.run_phase_trials([c])
-                proposed += n_prop
-                accepted += n_acc
+            for e in engines:
+                e.writeback(vdd, lsbs)
+        if iteration % trace_every == 0:
+            for e, t in zip(engines, traces):
+                t.record(level, iteration, e.objective())
+        for phase in phases:
+            run_phase(phase)
 
     controller.validate_complete()
-    objective_after = engine.objective()
-    if trace is not None:
-        trace.record(level, schedule.total_iterations, objective_after)
-    if chip is not None:
-        record_level_events(chip, schedule, engine, level, parallel_update)
-    return LevelReport(
-        level=level,
-        n_items=int(engine.sizes.sum()),
-        n_clusters=engine.K,
-        p=engine.p,
-        iterations=schedule.total_iterations,
-        swaps_proposed=proposed,
-        swaps_accepted=accepted,
-        objective_before=objective_before,
-        objective_after=objective_after,
-        wall_time_s=watch.elapsed_s(),
-    )
+    after = [e.objective() for e in engines]
+    for t, objective in zip(traces, after):
+        t.record(level, schedule.total_iterations, objective)
+    for c in chips:
+        record_level_events(c, schedule, lead, level, parallel_update)
+    wall = watch.elapsed_s() / len(engines)
+    reports = [
+        LevelReport(
+            level=level,
+            n_items=int(lead.sizes.sum()),
+            n_clusters=lead.K,
+            p=lead.p,
+            iterations=schedule.total_iterations,
+            swaps_proposed=e.trials_proposed - proposed0,
+            swaps_accepted=e.trials_accepted - accepted0,
+            objective_before=objective_before,
+            objective_after=objective_after,
+            wall_time_s=wall,
+        )
+        for e, (objective_before, proposed0, accepted0), objective_after in zip(
+            engines, before, after
+        )
+    ]
+    return reports[0] if isinstance(engine, ClusterLevelEngine) else reports

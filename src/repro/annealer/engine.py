@@ -1,4 +1,4 @@
-"""Vectorised clustered-TSP level engine.
+"""Clustered-TSP level engine and the one swap-trial kernel.
 
 Simulates, for one hierarchy level, exactly what the CIM hardware
 computes — swap-trial local energies over quantised, noise-corrupted
@@ -6,6 +6,13 @@ window weights — but batched across all clusters of a phase with numpy
 gathers instead of per-window Python objects (a 3038-city level has
 ~1500 windows × 400 iterations; the golden
 :class:`repro.cim.window.WeightWindow` path would take hours).
+
+:class:`ClusterLevelEngine` holds one replica's level: geometry, noise
+fields, write-back corruption, visiting order.  :class:`SwapKernel`
+runs the swap trials on a flat window axis of R ≥ 1 replicas (a window
+is one (replica, cluster) pair), the way the paper anneals every
+cluster of a level at once across its CIM arrays; a serial solve is
+the kernel at R = 1, on the engine's own arrays.
 
 Bit-compatibility with the golden model is the critical invariant:
 
@@ -16,7 +23,11 @@ Bit-compatibility with the golden model is the critical invariant:
 * corruption is regenerated at write-back boundaries from the same
   pseudo-read rule, so within a V_DD step the noise is spatial
   (deterministic per cell) and across trials it is temporal (different
-  cells are addressed) — the Sec. IV-B mechanism.
+  cells are addressed) — the Sec. IV-B mechanism;
+* R replicas in one call equal R serial runs: energies are integer,
+  the float trial math is elementwise (lint rule RL010 keeps vectorised
+  float reductions out of this module), and every draw comes from the
+  owning replica's own streams in its serial order.
 
 The integration tests drive both implementations over the same state
 and assert equal MAC values cell-for-cell.
@@ -24,7 +35,9 @@ and assert equal MAC values cell-for-cell.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import weakref
+from operator import attrgetter
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +52,7 @@ from repro.utils.rng import RandomState
 
 
 class ClusterLevelEngine:
-    """Batched window-MAC simulator for one hierarchy level.
+    """One replica's window-MAC state for one hierarchy level.
 
     Parameters
     ----------
@@ -102,10 +115,14 @@ class ClusterLevelEngine:
         # Local visiting order inside each cluster; identity initially
         # (padded tail positions index themselves and never move).
         self.order = np.tile(np.arange(self.p, dtype=np.int64), (self.K, 1))
-        self._refresh_boundaries()
+        # Boundary element (local index in the *neighbour* cluster) seen
+        # by each cluster's window.
+        self.prev_last = np.empty(self.K, dtype=np.int64)
+        self.next_first = np.empty(self.K, dtype=np.int64)
 
         # Effective (possibly corrupted) weights; clean until the first
-        # write-back applies a noise setting.
+        # write-back applies a noise setting.  Every later update writes
+        # in place, so a kernel holding these arrays never goes stale.
         self.C_own = self.Q_own.copy()
         self.C_prev = self.Q_prev.copy()
         self.C_next = self.Q_next.copy()
@@ -119,6 +136,9 @@ class ClusterLevelEngine:
         self.trials_proposed = 0
         self.trials_accepted = 0
 
+        self._kernel: Optional[SwapKernel] = None
+        self._refresh_boundaries()
+
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
@@ -129,14 +149,14 @@ class ClusterLevelEngine:
             coords[c, : g.size] = self.points[g]
         self.coords = coords
 
-        diff = coords[:, :, None, :] - coords[:, None, :, :]
-        d_own = np.sqrt((diff * diff).sum(-1))  # (K, p, p) [row l, col k]
-        prev_coords = np.roll(coords, 1, axis=0)  # cluster c-1's elements
-        next_coords = np.roll(coords, -1, axis=0)
-        dp = prev_coords[:, :, None, :] - coords[:, None, :, :]
-        d_prev = np.sqrt((dp * dp).sum(-1))  # (K, p_prev-row, p-col)
-        dn = next_coords[:, :, None, :] - coords[:, None, :, :]
-        d_next = np.sqrt((dn * dn).sum(-1))
+        def dist(rows: np.ndarray) -> np.ndarray:
+            diff = rows[:, :, None, :] - coords[:, None, :, :]
+            dx, dy = diff[..., 0], diff[..., 1]
+            return np.sqrt(dx * dx + dy * dy)
+
+        d_own = dist(coords)  # (K, p, p) [row l, col k]
+        d_prev = dist(np.roll(coords, 1, axis=0))  # (K, p_prev-row, p-col)
+        d_next = dist(np.roll(coords, -1, axis=0))
 
         # Zero the padded rows/cols ("redundant columns" hold code 0).
         valid = np.zeros((K, p), dtype=bool)
@@ -214,7 +234,9 @@ class ClusterLevelEngine:
             mask = mask.copy()
             mask[..., noisy_lsbs:] = False
         bits = np.where(mask, pref, bits)
-        return (bits.astype(np.int64) << np.arange(B)).sum(axis=-1)
+        return np.bitwise_or.reduce(
+            bits.astype(np.int64) << np.arange(B), axis=-1
+        )
 
     def writeback(self, vdd_mv: float, noisy_lsbs: int) -> None:
         """Refresh weights, then apply this step's pseudo-read corruption.
@@ -231,30 +253,34 @@ class ClusterLevelEngine:
         if self._vc_own is None:
             return
         if noisy_lsbs == 0:
-            self.C_own = self.Q_own.copy()
-            self.C_prev = self.Q_prev.copy()
-            self.C_next = self.Q_next.copy()
+            self.C_own[...] = self.Q_own
+            self.C_prev[...] = self.Q_prev
+            self.C_next[...] = self.Q_next
             return
-        self.C_own = self._corrupt(
+        self.C_own[...] = self._corrupt(
             self.Q_own, self._vc_own, self._pref_own, vdd_mv, noisy_lsbs
         )
-        self.C_prev = self._corrupt(
+        self.C_prev[...] = self._corrupt(
             self.Q_prev, self._vc_prev, self._pref_prev, vdd_mv, noisy_lsbs
         )
-        self.C_next = self._corrupt(
+        self.C_next[...] = self._corrupt(
             self.Q_next, self._vc_next, self._pref_next, vdd_mv, noisy_lsbs
         )
 
     # ------------------------------------------------------------------
     # State queries
     # ------------------------------------------------------------------
+    @property
+    def kernel(self) -> "SwapKernel":
+        """The swap-trial kernel over this engine's own windows (R = 1)."""
+        if self._kernel is None:
+            # A weak back-reference: a cycle would keep every finished
+            # level's arrays alive until a full garbage collection.
+            self._kernel = SwapKernel([weakref.proxy(self)])
+        return self._kernel
+
     def _refresh_boundaries(self) -> None:
-        last = self.order[np.arange(self.K), self.sizes - 1]
-        first = self.order[:, 0]
-        # Boundary element (local index in the *neighbour* cluster) seen
-        # by each cluster's window.
-        self.prev_last = np.roll(last, 1)
-        self.next_first = np.roll(first, -1)
+        self.kernel.refresh_boundaries()
 
     def phase_groups(self) -> List[np.ndarray]:
         """Chromatic update groups over the cluster cycle (odd/even)."""
@@ -274,12 +300,105 @@ class ClusterLevelEngine:
         nxt = np.roll(pts, -1, axis=0)
         return float(np.hypot(pts[:, 0] - nxt[:, 0], pts[:, 1] - nxt[:, 1]).sum())
 
+    def local_energy(self, cs: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Local energy of the spins currently at ``pos`` (MAC output)."""
+        return self.kernel.local_energy(np.asarray(cs), np.asarray(pos))
+
+    def run_phase_trials(self, phase_cs: np.ndarray) -> Tuple[int, int]:
+        """One swap trial in every cluster of a phase: the kernel at R = 1.
+
+        Returns ``(proposed, accepted)`` counts.
+        """
+        return self.kernel.run_trials(phase_cs)
+
+
+_Draw = Callable[[ClusterLevelEngine, int], np.ndarray]
+
+
+class SwapKernel:
+    """Swap trials over the flat window axis of R ≥ 1 same-shape engines.
+
+    Window ``r * K + c`` is cluster ``c`` of replica ``r``; its ring
+    neighbours are windows ``r * K + (c ∓ 1) % K``.  At R = 1 the kernel
+    works on the engine's own arrays.  At R > 1 it stacks them once and
+    rebinds each engine's arrays to its slice of the stack, so in-place
+    write-backs land in the kernel and the engines see the annealed
+    order: no copy after a write-back, none at the end.
+    """
+
+    def __init__(self, engines: Sequence[ClusterLevelEngine]) -> None:
+        self.engines = list(engines)
+        self.R = len(self.engines)
+        lead = self.engines[0]
+        self.K, self.p = lead.K, lead.p
+        shape = attrgetter(
+            "K", "p", "weight_bits", "cell_params", "noise_source", "noise_target"
+        )
+        if any(shape(e) != shape(lead) for e in engines):
+            raise AnnealerError(
+                "batched replicas must share the level shape and noise model"
+            )
+        # A window is its own neighbour at a one-cluster level (the top).
+        self.self_ring = self.K == 1
+        self.order = self._adopt("order")
+        self.sizes = self._adopt("sizes")
+        self.prev_last = self._adopt("prev_last")
+        self.next_first = self._adopt("next_first")
+        self.C_own = self._adopt("C_own")
+        self.C_prev = self._adopt("C_prev")
+        self.C_next = self._adopt("C_next")
+        spins = lead.noise_target is NoiseTarget.SPINS
+        self.spin_offsets = self._adopt("_spin_offsets") if spins else None
+        base = np.arange(self.R)[:, None] * self.K
+        c = np.arange(self.K)
+        self.windows = (base + c).ravel()
+        self.prev_w = (base + np.roll(c, 1)).ravel()
+        self.next_w = (base + np.roll(c, -1)).ravel()
+
+    def _adopt(self, name: str) -> np.ndarray:
+        """The flat array of attribute ``name``; stacked when R > 1."""
+        arrays: List[np.ndarray] = [getattr(e, name) for e in self.engines]
+        if self.R == 1:
+            return arrays[0]
+        stacked = np.concatenate(arrays)
+        for r, e in enumerate(self.engines):
+            setattr(e, name, stacked[r * self.K : (r + 1) * self.K])
+            e._kernel = None  # its own view must be rebuilt on the slice
+        return stacked
+
+    def windows_of(self, clusters: np.ndarray) -> np.ndarray:
+        """Every replica's windows of ``clusters``, replica-major."""
+        return self.windows.reshape(self.R, self.K)[:, clusters].ravel()
+
+    def refresh_boundaries(self) -> None:
+        """Re-read each window's boundary spins from its neighbours."""
+        last = self.order[self.windows, self.sizes - 1]
+        self.prev_last[:] = last[self.prev_w]
+        self.next_first[:] = self.order[self.next_w, 0]
+
+    def _per_replica(self, w: np.ndarray) -> List[int]:
+        """How many of the (replica-major) windows ``w`` each replica owns."""
+        if self.R == 1:
+            return [int(w.size)]
+        return [int(n) for n in np.bincount(w // self.K, minlength=self.R)]
+
+    def _draw(self, w: np.ndarray, draw: _Draw) -> np.ndarray:
+        """Each replica's ``draw(engine, n)`` for its windows of ``w``.
+
+        The parts are joined along the last axis in replica order, so
+        every window's value comes from its own replica's stream.
+        """
+        if self.R == 1:
+            return draw(self.engines[0], int(w.size))
+        parts = zip(self.engines, self._per_replica(w))
+        return np.concatenate([draw(e, n) for e, n in parts if n], axis=-1)
+
     # ------------------------------------------------------------------
     # Energy computation (the MACs)
     # ------------------------------------------------------------------
     def _pair_energy(
         self,
-        cs: np.ndarray,
+        w: np.ndarray,
         pos: np.ndarray,
         elem: np.ndarray,
         left_elem: np.ndarray,
@@ -294,132 +413,150 @@ class ClusterLevelEngine:
         boundary spin of the adjacent cluster).  ``prev_boundary`` /
         ``next_boundary`` override the boundary spin element ids — used
         for after-swap energies when the swap itself moves the
-        cluster's first/last element (only observable when a cluster is
+        window's first/last element (only observable when a window is
         its own neighbour, i.e. the K = 1 top level).
         """
-        last = self.sizes[cs] - 1
+        last = self.sizes[w] - 1
         at_first = pos == 0
         at_last = pos == last
-        pb = self.prev_last[cs] if prev_boundary is None else prev_boundary
-        nb = self.next_first[cs] if next_boundary is None else next_boundary
+        pb = self.prev_last[w] if prev_boundary is None else prev_boundary
+        nb = self.next_first[w] if next_boundary is None else next_boundary
         # Clip override indices so gathers stay in range where masked.
         le = np.where(at_first, 0, left_elem)
         re = np.where(at_last, 0, right_elem)
         lpos = np.where(at_first, 0, pos)  # any valid value when masked
         left = np.where(
             at_first,
-            self.C_prev[cs, pb, elem],
-            self.C_own[cs, lpos, 0, le, elem],
+            self.C_prev[w, pb, elem],
+            self.C_own[w, lpos, 0, le, elem],
         )
         right = np.where(
             at_last,
-            self.C_next[cs, nb, elem],
-            self.C_own[cs, pos, 1, re, elem],
+            self.C_next[w, nb, elem],
+            self.C_own[w, pos, 1, re, elem],
         )
         return left + right
 
-    def local_energy(self, cs: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """Local energy of the spins currently at ``pos`` (MAC output)."""
-        cs = np.asarray(cs)
-        pos = np.asarray(pos)
-        elem = self.order[cs, pos]
-        left_elem = self.order[cs, np.maximum(pos - 1, 0)]
-        right_elem = self.order[cs, np.minimum(pos + 1, self.p - 1)]
-        return self._pair_energy(cs, pos, elem, left_elem, right_elem)
+    def local_energy(self, w: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Local energy of the spins currently at ``pos`` of windows ``w``."""
+        order = self.order
+        elem = order[w, pos]
+        left_elem = order[w, np.maximum(pos - 1, 0)]
+        right_elem = order[w, np.minimum(pos + 1, self.p - 1)]
+        return self._pair_energy(w, pos, elem, left_elem, right_elem)
 
     # ------------------------------------------------------------------
     # Swap trials
     # ------------------------------------------------------------------
-    def run_phase_trials(self, phase_cs: np.ndarray) -> Tuple[int, int]:
-        """One swap trial in every cluster of a phase (4 MAC cycles).
+    def run_trials(self, windows: np.ndarray) -> Tuple[int, int]:
+        """One swap trial in every window of a phase (4 MAC cycles).
 
-        Returns ``(proposed, accepted)`` counts.  Mirrors the hardware
-        exactly: two local-energy MACs with the pre-swap spins, two
-        with the post-swap spins, accept when the (noisy) energy drops.
+        ``windows`` must be replica-major (see :meth:`windows_of`).
+        Returns the ``(proposed, accepted)`` totals; each engine's own
+        ``trials_proposed``/``trials_accepted`` counters advance by its
+        share.  Mirrors the hardware exactly: two local-energy MACs with
+        the pre-swap spins, two with the post-swap spins, accept when
+        the (noisy) energy drops.
         """
-        cs = np.asarray(phase_cs, dtype=np.int64)
-        cs = cs[self.sizes[cs] >= 2]
-        if cs.size == 0:
+        w = np.asarray(windows, dtype=np.int64)
+        w = w[self.sizes[w] >= 2]
+        if w.size == 0:
             return 0, 0
-        s = self.sizes[cs]
-        u = self.rng.random((2, cs.size))
+        s = self.sizes[w]
+        u = self._draw(w, lambda e, n: e.rng.random((2, n)))
         i = np.minimum((u[0] * s).astype(np.int64), s - 1)
         j = np.minimum((u[1] * s).astype(np.int64), s - 1)
         lo = np.minimum(i, j)
         hi = np.maximum(i, j)
         pick = lo != hi
-        cs, lo, hi = cs[pick], lo[pick], hi[pick]
-        if cs.size == 0:
+        w, lo, hi = w[pick], lo[pick], hi[pick]
+        if w.size == 0:
             return 0, 0
 
         order = self.order
-        k = order[cs, lo]  # element at the lower position
-        l = order[cs, hi]  # element at the higher position
+        k = order[w, lo]  # element at the lower position
+        l = order[w, hi]  # element at the higher position
 
         # --- before-swap energies (2 MAC cycles) -----------------------
-        e_before = self.local_energy(cs, lo) + self.local_energy(cs, hi)
+        e_before = self.local_energy(w, lo) + self.local_energy(w, hi)
 
         # --- after-swap energies (2 MAC cycles) ------------------------
         adjacent = hi == lo + 1
-        # When a cluster is its own neighbour (K = 1, the top level),
-        # moving the first/last element also moves the boundary spin the
-        # window sees; compute the post-swap boundary ids.
-        if self.K == 1:
-            last_pos = self.sizes[cs] - 1
-            prev_after = np.where(hi == last_pos, k, order[cs, last_pos])
-            next_after = np.where(lo == 0, l, order[cs, 0])
-        else:
-            prev_after = next_after = None
+        # When a window is its own neighbour, moving the first/last
+        # element also moves the boundary spin the window sees; compute
+        # the post-swap boundary ids.
+        prev_after: Optional[np.ndarray] = None
+        next_after: Optional[np.ndarray] = None
+        if self.self_ring:
+            last_pos = self.sizes[w] - 1
+            prev_after = np.where(hi == last_pos, k, order[w, last_pos])
+            next_after = np.where(lo == 0, l, order[w, 0])
         # Spin (lo, l): left neighbour unchanged, right becomes k if adjacent.
-        left_lo = order[cs, np.maximum(lo - 1, 0)]
-        right_lo = np.where(adjacent, k, order[cs, np.minimum(lo + 1, self.p - 1)])
+        left_lo = order[w, np.maximum(lo - 1, 0)]
+        right_lo = np.where(adjacent, k, order[w, np.minimum(lo + 1, self.p - 1)])
         e_after_lo = self._pair_energy(
-            cs, lo, l, left_lo, right_lo, prev_after, next_after
+            w, lo, l, left_lo, right_lo, prev_after, next_after
         )
         # Spin (hi, k): right neighbour unchanged, left becomes l if adjacent.
-        left_hi = np.where(adjacent, l, order[cs, np.maximum(hi - 1, 0)])
-        right_hi = order[cs, np.minimum(hi + 1, self.p - 1)]
+        left_hi = np.where(adjacent, l, order[w, np.maximum(hi - 1, 0)])
+        right_hi = order[w, np.minimum(hi + 1, self.p - 1)]
         e_after_hi = self._pair_energy(
-            cs, hi, k, left_hi, right_hi, prev_after, next_after
+            w, hi, k, left_hi, right_hi, prev_after, next_after
         )
 
         delta = (e_after_lo + e_after_hi - e_before).astype(np.float64)
 
         # --- non-SRAM noise ablations ----------------------------------
-        amp = self._current_noise_amp_code
-        if self.noise_source is NoiseSource.LFSR and amp > 0:
+        # Replicas share the configuration and the schedule, so they
+        # share the amplitudes too.
+        lead = self.engines[0]
+        amp = lead._current_noise_amp_code
+        if lead.noise_source is NoiseSource.LFSR and amp > 0:
             # Temporal PRNG perturbation with the schedule's amplitude
             # (≈4 independent weight reads per delta → 2·amp spread).
-            delta = delta + 2.0 * amp * self._rs.child(
-                f"lfsr/{self.trials_proposed}"
-            ).standard_normal(cs.size)
-        if self.noise_target is NoiseTarget.SPINS:
+            delta = delta + 2.0 * amp * self._draw(
+                w,
+                lambda e, n: e._rs.child(
+                    f"lfsr/{e.trials_proposed}"
+                ).standard_normal(n),
+            )
+        if self.spin_offsets is not None:
             # Spatial-only noise at a fixed (never-annealed) amplitude:
             # the same proposal always sees the same offset, and [4]'s
             # single lowered V_DD means it never decays either.
-            spin_amp = self._spin_amp_code or 0.0
+            spin_amp = lead._spin_amp_code or 0.0
             if spin_amp > 0:
-                delta = delta + 2.0 * spin_amp * self._spin_offsets[cs, lo, hi]
+                delta = delta + 2.0 * spin_amp * self.spin_offsets[w, lo, hi]
 
-        if self.noise_source is NoiseSource.METROPOLIS and amp > 0:
+        if lead.noise_source is NoiseSource.METROPOLIS and amp > 0:
             # Idealised baseline: exact energies, Boltzmann acceptance
             # at a temperature tracking the noise-amplitude schedule.
-            u = self._rs.child(
-                f"metropolis/{self.trials_proposed}"
-            ).random(cs.size)
+            u_acc = self._draw(
+                w,
+                lambda e, n: e._rs.child(
+                    f"metropolis/{e.trials_proposed}"
+                ).random(n),
+            )
             accept = (delta < 0) | (
-                u < boltzmann_accept_probability(delta, amp)
+                u_acc < boltzmann_accept_probability(delta, amp)
             )
         else:
             accept = delta < 0
-        acc = cs[accept]
+        acc = w[accept]
         if acc.size:
             alo, ahi = lo[accept], hi[accept]
             tmp = order[acc, alo].copy()
             order[acc, alo] = order[acc, ahi]
             order[acc, ahi] = tmp
-            self._refresh_boundaries()
+            self.refresh_boundaries()
 
-        self.trials_proposed += int(cs.size)
-        self.trials_accepted += int(acc.size)
-        return int(cs.size), int(acc.size)
+        for e, n_prop, n_acc in zip(
+            self.engines, self._per_replica(w), self._per_replica(acc)
+        ):
+            e.trials_proposed += n_prop
+            e.trials_accepted += n_acc
+        return int(w.size), int(acc.size)
+
+    #: The batched phase entry point, traced apart from the serial
+    #: ``ClusterLevelEngine.run_phase_trials`` by the benchmark harness.
+    run_phase = run_trials

@@ -12,15 +12,19 @@ End-to-end solve:
    odd/even clusters updating in alternating parallel phases.
 4. The bottom level's item sequence is the city tour.
 
-Hardware events accumulate in one :class:`repro.cim.macro.CIMChip`
-(arrays are time-multiplexed across levels, so the bottom level sets
-the provisioned window count).
+:func:`anneal_tree` is the one descent, for R ≥ 1 replicas sharing a
+cluster tree: :meth:`ClusteredCIMAnnealer.solve` runs it with one
+replica, :func:`repro.annealer.batched.solve_batch` once per group of
+seeds sharing a tree.  Hardware events accumulate in one
+:class:`repro.cim.macro.CIMChip` per replica (arrays are
+time-multiplexed across levels, so the bottom level sets the
+provisioned window count).
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -90,85 +94,100 @@ class ClusteredCIMAnnealer:
     # ------------------------------------------------------------------
     def solve(self, instance: TSPInstance) -> AnnealResult:
         """Run the full hierarchical anneal and return the result."""
-        cfg = self.config
         watch = Stopwatch()
-        tree = self.build_tree(instance)
-        n_levels = tree.n_levels
+        (result,) = anneal_tree(instance, [self], self.build_tree(instance))
+        result.wall_time_s = watch.elapsed_s()
+        return result
 
-        hardware_p = cfg.strategy.hardware_p()
-        chip_p = hardware_p or tree.max_level_size()
-        chip = CIMChip(
-            p=chip_p,
+
+def anneal_tree(
+    instance: TSPInstance,
+    annealers: Sequence[ClusteredCIMAnnealer],
+    tree: ClusterTree,
+) -> List[AnnealResult]:
+    """Descend ``tree`` once per annealer; one result per annealer.
+
+    The annealers share one configuration up to the seed, and ``tree``
+    is the hierarchy every one of them builds.  Each result is
+    bit-identical to that annealer's own serial solve; wall time is
+    split evenly across the replicas.
+    """
+    watch = Stopwatch()
+    cfg = annealers[0].config
+    n_levels = tree.n_levels
+    hardware_p = cfg.strategy.hardware_p()
+    chips = [
+        CIMChip(
+            p=hardware_p or tree.max_level_size(),
             n_clusters=cfg.strategy.provisioned_clusters(instance.n),
             weight_bits=cfg.weight_bits,
         )
-        trace = ConvergenceTrace() if cfg.record_trace else None
-        reports: List[LevelReport] = []
+        for _ in annealers
+    ]
+    traces = [ConvergenceTrace() for _ in annealers] if cfg.record_trace else []
+    reports: List[List[LevelReport]] = [[] for _ in annealers]
 
-        # ---- top level: order the super-clusters -----------------------
-        top = tree.levels[-1]
-        top_points = top.centroids
-        k_top = top.n_clusters
-        if k_top == 1:
-            cluster_order = np.array([0], dtype=np.int64)
-        else:
-            engine = self._make_engine(
-                points=top_points,
-                groups=[np.arange(k_top, dtype=np.int64)],
-                p=k_top,
-                level_tag=f"top/{n_levels}",
-            )
-            reports.append(
-                solve_level(
-                    engine,
-                    cfg.schedule,
-                    level=n_levels,  # top solve labelled one above
-                    chip=chip,
-                    trace=trace,
-                    trace_every=cfg.trace_every,
-                    parallel_update=cfg.parallel_update,
-                )
-            )
-            cluster_order = engine.sequence()
+    def anneal(
+        level: int, points: np.ndarray, groups: List[List[np.ndarray]], p: int, tag: str
+    ) -> List[np.ndarray]:
+        """Anneal one level of every replica; return their item orders."""
+        engines = [
+            a._make_engine(points=points, groups=g, p=p, level_tag=tag)
+            for a, g in zip(annealers, groups)
+        ]
+        level_reports = solve_level(
+            engines,
+            cfg.schedule,
+            level=level,
+            chip=chips,
+            trace=traces,
+            trace_every=cfg.trace_every,
+            parallel_update=cfg.parallel_update,
+        )
+        for per_replica, report in zip(reports, level_reports):
+            per_replica.append(report)
+        return [e.sequence() for e in engines]
 
-        # ---- descend the hierarchy -------------------------------------
-        for level_idx in range(n_levels - 1, -1, -1):
-            level = tree.levels[level_idx]
-            points = tree.points_at(level_idx)
-            groups = [level.members[int(c)] for c in cluster_order]
-            max_size = int(max(g.size for g in groups))
-            p = max(hardware_p or 1, max_size)
-            engine = self._make_engine(
-                points=points,
-                groups=groups,
-                p=p,
-                level_tag=f"level/{level_idx}",
-            )
-            reports.append(
-                solve_level(
-                    engine,
-                    cfg.schedule,
-                    level=level_idx,
-                    chip=chip,
-                    trace=trace,
-                    trace_every=cfg.trace_every,
-                    parallel_update=cfg.parallel_update,
-                )
-            )
-            cluster_order = engine.sequence()
+    # ---- top level: order the super-clusters ---------------------------
+    k_top = tree.levels[-1].n_clusters
+    if k_top == 1:
+        cluster_orders = [np.array([0], dtype=np.int64) for _ in annealers]
+    else:
+        cluster_orders = anneal(
+            n_levels,  # top solve labelled one above
+            tree.levels[-1].centroids,
+            [[np.arange(k_top, dtype=np.int64)] for _ in annealers],
+            k_top,
+            f"top/{n_levels}",
+        )
 
-        tour = cluster_order
+    # ---- descend the hierarchy -----------------------------------------
+    for level_idx in range(n_levels - 1, -1, -1):
+        members = tree.levels[level_idx].members
+        groups = [[members[int(c)] for c in order] for order in cluster_orders]
+        # The replicas permute the same cluster set, so the largest
+        # group (hence p) is the same for all of them.
+        p = max(hardware_p or 1, int(max(g.size for g in groups[0])))
+        cluster_orders = anneal(
+            level_idx, tree.points_at(level_idx), groups, p, f"level/{level_idx}"
+        )
+
+    wall = watch.elapsed_s() / len(annealers)
+    results: List[AnnealResult] = []
+    for r, tour in enumerate(cluster_orders):
         if tour.size != instance.n:
             raise AnnealerError(
                 f"hierarchy produced {tour.size} cities, expected {instance.n}"
             )
-        length = tour_length(instance, tour)
-        return AnnealResult(
-            instance=instance,
-            tour=tour,
-            length=length,
-            chip=chip,
-            levels=reports,
-            trace=trace,
-            wall_time_s=watch.elapsed_s(),
+        results.append(
+            AnnealResult(
+                instance=instance,
+                tour=tour,
+                length=tour_length(instance, tour),
+                chip=chips[r],
+                levels=reports[r],
+                trace=traces[r] if traces else None,
+                wall_time_s=wall,
+            )
         )
+    return results

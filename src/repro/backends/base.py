@@ -188,8 +188,8 @@ class BackendCapabilities:
         up to ``EnsembleOptions.batch_size`` seeds per
         :meth:`SolverBackend.solve_group` call — the only selector for
         grouping.  Only the clustered CIM annealer is batchable today
-        (its group solver is the batched replica engine,
-        :mod:`repro.annealer.batched`).
+        (its group solver is
+        :func:`repro.annealer.batched.solve_batch`).
     accepts_config:
         Whether the backend consumes an ``AnnealerConfig``; requests
         carrying one for a backend that does not are rejected.

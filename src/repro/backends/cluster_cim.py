@@ -1,9 +1,10 @@
 """The default backend: the paper's clustered CIM annealer.
 
 TSP plans run :class:`~repro.annealer.hierarchical.ClusteredCIMAnnealer`
-one seed at a time (``solve``), or a whole seed group at once on the
-batched replica engine (``solve_group`` →
-:func:`repro.annealer.batched.solve_batch`, bit-identical per seed).
+one seed at a time (``solve``), or a whole seed group at once
+(``solve_group`` → :func:`repro.annealer.batched.solve_batch`, whose
+seeds sharing a cluster tree anneal as replicas of one swap-trial
+kernel, bit-identical per seed).
 Compiled QUBO plans (graph coloring, knapsack, Max-SAT —
 :mod:`repro.problems`) anneal with the op-counted chromatic-parallel
 Gibbs kernel, the same odd/even independent-set update the clustered

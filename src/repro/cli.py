@@ -162,9 +162,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--batch-size", type=int, default=1, metavar="B",
-        help="seeds a worker anneals per dispatch via the batched "
-        "replica engine (1 = serial oracle; results are bit-identical "
-        "either way)",
+        help="seeds a worker anneals per dispatch; seeds sharing a "
+        "cluster tree run as replicas of one kernel (results are "
+        "bit-identical either way)",
     )
     p_solve.add_argument(
         "--telemetry-out", metavar="FILE",
@@ -265,8 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_submit.add_argument(
         "--batch-size", type=int, default=1, metavar="B",
-        help="replicas per vectorized batch on the gateway side "
-        "(default: 1, the serial bit-exactness oracle)",
+        help="seeds a gateway worker anneals per dispatch "
+        "(default: 1; results are bit-identical either way)",
     )
     p_submit.add_argument(
         "--stream", action="store_true",

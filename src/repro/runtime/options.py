@@ -105,15 +105,15 @@ class EnsembleOptions:
         broken-pool faults at seeded per-attempt probabilities.
         ``None`` (default) injects nothing.
     batch_size:
-        Seeds a worker claims and anneals per dispatch via the batched
-        replica engine (:func:`repro.annealer.batched.solve_batch`).
-        ``1`` (default) keeps the serial path — the bit-exactness
-        oracle.  Batching changes throughput only: every replica's
-        result and telemetry counters are bit-identical to its serial
-        run, one ``RunTelemetry`` is still emitted per seed, and
-        configurations the batched kernel cannot represent exactly
-        (LFSR/Metropolis ablations, spin-noise targets, trace
-        recording, active fault plans) transparently run serially.
+        Seeds a worker claims per dispatch for a ``batchable`` backend
+        (for TSP on ``cluster-cim``,
+        :func:`repro.annealer.batched.solve_batch`, whose seeds that
+        share a cluster tree anneal in one swap-trial kernel).  ``1``
+        (default) sends one seed per dispatch.  Batching changes
+        throughput only: every replica's result and telemetry counters
+        are bit-identical to its own one-seed run under every
+        configuration, one ``RunTelemetry`` is still emitted per seed,
+        and an active fault plan keeps every dispatch at one seed.
     """
 
     max_workers: int = 1

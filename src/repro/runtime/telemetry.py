@@ -5,8 +5,8 @@ The ensemble runtime (:mod:`repro.runtime.executor`) produces one
 times, trial counters, write-back counts, and the chip MAC/energy
 counters — and aggregates them into an :class:`EnsembleTelemetry`
 summary.  Both are plain dataclasses of JSON-native values so they can
-be serialised (``to_dict`` / ``to_json``) and shipped to dashboards or
-the ``BENCH_ensemble.json`` artifact without any custom encoders.
+be serialised (``to_dict`` / ``to_json``) and shipped to dashboards,
+SSE frames or ``--telemetry-out`` files without any custom encoders.
 """
 
 from __future__ import annotations

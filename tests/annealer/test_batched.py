@@ -12,15 +12,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.annealer.batched import batchable_config, solve_batch
-from repro.annealer.config import AnnealerConfig, NoiseSource, NoiseTarget
+from repro.annealer import hierarchical
+from repro.annealer.batched import _tree_signature, solve_batch
+from repro.annealer.config import AnnealerConfig, NoiseSource
+from repro.annealer.engine import ClusterLevelEngine, SwapKernel
 from repro.annealer.hierarchical import ClusteredCIMAnnealer
 from repro.errors import AnnealerError
 from repro.ising.numerics import stable_sigmoid
+from repro.ising.schedule import VddSchedule
 from repro.runtime.executor import EnsembleExecutor
 from repro.runtime.options import EnsembleOptions
 from repro.tsp.generators import random_clustered
 from repro.utils.rng import spawn_rng
+from tests.annealer.test_tour_goldens import (
+    CLUSTERED80,
+    CONFIGS,
+    assert_matches_golden,
+)
 
 from dataclasses import replace
 
@@ -127,7 +135,6 @@ class TestSolveBatch:
     def test_noise_free_config_matches_serial(self, clustered80):
         seeds = [330, 331, 332]
         cfg = AnnealerConfig(noise_source=NoiseSource.NONE)
-        assert batchable_config(cfg)
         batched = solve_batch(clustered80, cfg, seeds)
         for seed, b in zip(seeds, batched):
             a = ClusteredCIMAnnealer(replace(cfg, seed=seed)).solve(
@@ -143,32 +150,97 @@ class TestSolveBatch:
         assert np.array_equal(a.tour, b.tour)
         assert a.length == b.length
 
-    def test_unbatchable_config_falls_back_serially(self, clustered80):
-        # The ablation noise modes key extra streams off per-replica
-        # trial counters; solve_batch must transparently run them
-        # serially and still return exact serial results.
-        cfg = AnnealerConfig(noise_source=NoiseSource.LFSR)
-        assert not batchable_config(cfg)
-        seeds = [340, 341]
-        batched = solve_batch(clustered80, cfg, seeds)
-        for seed, b in zip(seeds, batched):
-            a = ClusteredCIMAnnealer(replace(cfg, seed=seed)).solve(
-                clustered80
-            )
-            assert np.array_equal(a.tour, b.tour)
-            assert a.length == b.length
-
-    def test_trace_recording_not_batchable(self):
-        assert not batchable_config(AnnealerConfig(record_trace=True))
-
-    def test_spin_noise_target_not_batchable(self):
-        assert not batchable_config(
-            AnnealerConfig(noise_target=NoiseTarget.SPINS)
-        )
-
     def test_empty_seeds_rejected(self, clustered80):
         with pytest.raises(AnnealerError):
             solve_batch(clustered80, AnnealerConfig(), [])
+
+
+class TestEveryConfigBatches:
+    """Every configuration anneals seeds sharing a tree as one batch."""
+
+    @pytest.mark.parametrize("name", ["lfsr", "metropolis", "spins", "trace"])
+    def test_shared_tree_runs_as_one_kernel_call(
+        self, clustered80, monkeypatch, name
+    ):
+        # The noise streams, spin offsets and traces are per-replica
+        # terms of the kernel: the three seeds share one tree, so every
+        # level is one level-loop call at R = 3, and each replica still
+        # reproduces its serial golden.
+        widths = []
+        level_loop = hierarchical.solve_level
+
+        def spy(engines, *args, **kwargs):
+            widths.append(len(engines))
+            return level_loop(engines, *args, **kwargs)
+
+        monkeypatch.setattr(hierarchical, "solve_level", spy)
+        seeds = [300, 301, 302]
+        results = solve_batch(clustered80, CONFIGS[name], seeds)
+        assert widths == [3] * len(results[0].levels)
+        for seed, result in zip(seeds, results):
+            assert_matches_golden(result, CLUSTERED80[(name, seed)])
+
+    def test_each_tree_is_built_once(self, monkeypatch):
+        # Above 256 cities the spacing estimate samples by seed, so
+        # these three seeds get three distinct trees: three groups of
+        # one, and still one tree build per seed.
+        instance = random_clustered(300, n_clusters=6, seed=2024)
+        cfg = AnnealerConfig(
+            schedule=VddSchedule(total_iterations=50, iterations_per_step=50)
+        )
+        seeds = [0, 1, 3]
+        trees = [
+            ClusteredCIMAnnealer(replace(cfg, seed=s)).build_tree(instance)
+            for s in seeds
+        ]
+        assert len({_tree_signature(t) for t in trees}) == len(seeds)
+        builds = []
+        build_hierarchy = hierarchical.build_hierarchy
+
+        def spy(*args, **kwargs):
+            builds.append(kwargs.get("seed"))
+            return build_hierarchy(*args, **kwargs)
+
+        monkeypatch.setattr(hierarchical, "build_hierarchy", spy)
+        results = solve_batch(instance, cfg, seeds)
+        assert builds == seeds
+        for seed, result in zip(seeds, results):
+            serial = ClusteredCIMAnnealer(replace(cfg, seed=seed)).solve(instance)
+            assert np.array_equal(result.tour, serial.tour)
+            assert result.length == serial.length
+
+
+class TestSwapKernel:
+    @staticmethod
+    def _engines(seeds, **kwargs):
+        inst = random_clustered(24, n_clusters=3, seed=5)
+        groups = [np.arange(i, i + 3) for i in range(0, 24, 3)]
+        return [
+            ClusterLevelEngine(inst.coords, groups, p=3, seed=s, **kwargs)
+            for s in seeds
+        ]
+
+    def test_one_replica_runs_on_the_engines_own_arrays(self):
+        (engine,) = self._engines([1])
+        kernel = engine.kernel
+        for name in ("order", "sizes", "prev_last", "next_first",
+                     "C_own", "C_prev", "C_next"):
+            assert getattr(kernel, name) is getattr(engine, name), name
+
+    def test_replicas_are_views_of_one_stack(self):
+        engines = self._engines([1, 2, 3])
+        kernel = SwapKernel(engines)
+        for r, engine in enumerate(engines):
+            assert np.shares_memory(engine.C_own, kernel.C_own)
+            assert np.shares_memory(engine.order, kernel.order)
+            engine.writeback(300.0, 6)  # in place, into the stack
+            assert np.array_equal(kernel.C_own[r * 8 : (r + 1) * 8], engine.C_own)
+
+    def test_mismatched_replicas_rejected(self):
+        (a,) = self._engines([1])
+        (b,) = self._engines([2], weight_bits=6)
+        with pytest.raises(AnnealerError, match="share the level shape"):
+            SwapKernel([a, b])
 
 
 class TestPlatformEquivalences:

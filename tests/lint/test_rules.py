@@ -167,12 +167,10 @@ def test_rl008_blocking_allowed_off_serving_path(tmp_path: Path):
 
 
 # ---------------------------------------------------------------------------
-# RL010 is scoped to batched kernels (repro/**/batched.py).
+# RL010 is scoped to the swap-trial kernel's module (repro/annealer/engine.py).
 
 
-@pytest.mark.parametrize(
-    "sub", ["src/repro/ising/batched.py", "src/repro/annealer/batched.py"]
-)
+@pytest.mark.parametrize("sub", ["src/repro/annealer/engine.py"])
 def test_rl010_flags_float_reductions_in_batched_kernels(
     tmp_path: Path, sub: str
 ):
@@ -181,13 +179,14 @@ def test_rl010_flags_float_reductions_in_batched_kernels(
 
 
 def test_rl010_serial_gap_idiom_is_clean(tmp_path: Path):
-    target = _copied(tmp_path, "rl010_good.py", "src/repro/ising/batched.py")
+    target = _copied(tmp_path, "rl010_good.py", "src/repro/annealer/engine.py")
     assert codes_in(target, root=tmp_path) == Counter()
 
 
 def test_rl010_reductions_allowed_outside_batched_kernels(tmp_path: Path):
-    target = _copied(tmp_path, "rl010_bad.py", "src/repro/ising/gibbs.py")
-    assert codes_in(target, root=tmp_path) == Counter()
+    for sub in ("src/repro/ising/gibbs.py", "src/repro/annealer/batched.py"):
+        target = _copied(tmp_path, "rl010_bad.py", sub)
+        assert codes_in(target, root=tmp_path) == Counter()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ seeded ``Generator`` RNG (RL002), pickle-safety across the
 defaults (RL004), no blanket handlers that swallow ``AnnealerError``
 (RL005), telemetry-owned wall-clock reads in solver kernels (RL006),
 bounded retry loops (RL007), no blocking calls on the async serving
-path (RL008), bit-exactness of batched kernels (RL010), and no stale
+path (RL008), bit-exactness of the swap-trial kernel (RL010), and no stale
 suppression comments (RL011).
 
 Usage::

@@ -1,15 +1,15 @@
 """RL010 — float reductions that endanger batched bit-identity.
 
-The batched replica engine's contract is *bit-identical* energies and
-tours against the serial oracle (``tests/annealer/test_batched.py``
-pins this).  That only holds while every floating-point accumulation
-happens in the same order as the serial code: a vectorised
-``np.sum``/``@``/``.dot()``/``einsum`` over the replica axis lets BLAS
-reassociate the adds, and the last few mantissa bits drift — silently,
-and only on some machines.
+The swap-trial kernel anneals R replicas on one flat window axis, and
+its contract is *bit-identical* energies and tours against each
+replica's own serial run (``tests/annealer/test_batched.py`` and
+``tests/annealer/test_tour_goldens.py`` pin this).  That only holds
+while every floating-point accumulation happens in the same order as
+the serial code: a vectorised ``np.sum``/``@``/``.dot()``/``einsum``
+over the window axis lets BLAS reassociate the adds, and the last few
+mantissa bits drift — silently, and only on some machines.
 
-Scope: batched kernels (``repro/**/batched.py`` — today only
-``repro/annealer/batched.py``).
+Scope: the kernel's module, ``repro/annealer/engine.py``.
 
 Flagged: ``np.sum`` / ``np.dot`` / ``np.einsum`` (any numpy alias),
 ``.sum()`` / ``.dot()`` method calls, and the ``@`` matmul operator.
@@ -64,7 +64,7 @@ class FloatReductionInBatchedKernel(Rule):
 
     def applies_to(self, ctx: FileContext) -> bool:
         sub = ctx.repro_subpath()
-        return sub is not None and sub.endswith("batched.py")
+        return sub == "annealer/engine.py"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         for node in ast.walk(ctx.tree):
